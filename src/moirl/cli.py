@@ -10,6 +10,7 @@ violation, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .domain import validate
 from .guarantees import (
     GuaranteeViolation,
     corollary_check,
     equivalence_check,
     reward_gap_report,
 )
-from .learner import RunConfig, train
+from .learner import train
 from .projection import contains
 from .synth import expert_trajectories, instances_from_spec
 from .wasserstein import linear_dual_lower_bound, w1_exact
@@ -68,18 +68,10 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data_dir)
     instances = mio.load_instances(data_dir / "instances.json")
     data = mio.load_trajectories(data_dir / "expert_trajectories.json")
-    problems = validate(data, instances)
-    if problems:
-        raise ValueError("; ".join(problems))
     feasible = mio.load_feasible_set(args.feasible)
     cfg = mio.load_run_config(args.config)
-    if args.threads > 1 or args.tie_tol is not None:
-        cfg = RunConfig(
-            schedule=cfg.schedule, max_iters=cfg.max_iters,
-            target_eps=cfg.target_eps,
-            tie_tol=cfg.tie_tol if args.tie_tol is None else args.tie_tol,
-            seed=cfg.seed, n_jobs=max(args.threads, 1),
-        )
+    if args.tie_tol is not None:
+        cfg = dataclasses.replace(cfg, tie_tol=args.tie_tol)
 
     with open(args.config, encoding="utf-8") as fh:
         phi1 = json.load(fh).get("phi1")
@@ -193,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("feasible", help="feasible set JSON file")
     t.add_argument("config", help="run config JSON file")
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--threads", type=int, default=1)
     t.add_argument("--tie-tol", type=float, default=None, dest="tie_tol",
                    help="override the config's solver tie tolerance")
     t.set_defaults(func=cmd_train)

@@ -25,6 +25,7 @@ __all__ = [
     "canonical_actions",
     "as_weights",
     "validate",
+    "checked_decisions",
 ]
 
 
@@ -58,11 +59,17 @@ def canonical_actions(actions) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Instance:
-    """A state together with its finite set of feasible action vectors."""
+    """A state together with its finite set of feasible action vectors.
+
+    ``actions`` may be given in any order; it is stored canonically.
+    """
 
     id: str
     actions: np.ndarray  # (n_actions, d), canonical order, read-only
     state: Any = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "actions", canonical_actions(self.actions))
 
     @property
     def dim(self) -> int:
@@ -70,7 +77,7 @@ class Instance:
 
 
 def make_instance(id: str, actions, state: Any = None) -> Instance:
-    return Instance(id=id, actions=canonical_actions(actions), state=state)
+    return Instance(id=id, actions=actions, state=state)
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,20 @@ def validate(ts: TrajectorySet, instances: Mapping[str, Instance]) -> list[str]:
     return violations
 
 
+def checked_decisions(
+    ts: TrajectorySet, instances: Mapping[str, Instance]
+) -> tuple[list[Instance], np.ndarray]:
+    """Each trajectory's instance, in order, and the (N, d) expert actions.
+
+    Raises ValueError listing ``validate``'s diagnostics if there are any.
+    """
+    problems = validate(ts, instances)
+    if problems:
+        raise ValueError("invalid trajectory data: " + "; ".join(problems))
+    insts = [instances[t.instance_id] for t in ts]
+    return insts, np.stack([t.action for t in ts])
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box {v : lo <= v <= hi componentwise}."""
@@ -155,6 +176,8 @@ class Box:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-D vectors of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box requires lo <= hi componentwise")
         lo.setflags(write=False)
@@ -185,8 +208,10 @@ class Ball:
         c = np.asarray(self.center, dtype=float)
         if c.ndim != 1:
             raise ValueError("ball center must be a 1-D vector")
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be finite")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("ball radius must be positive and finite")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))

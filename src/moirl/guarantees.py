@@ -14,9 +14,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .domain import Instance, TrajectorySet, as_weights, validate
+from .domain import Instance, TrajectorySet, as_weights, checked_decisions
 from .learner import RunLog
-from .solvers import solve
+from .solvers import PackedInstances, pack, solve_packed
 from .wasserstein import w1_exact
 
 __all__ = [
@@ -36,21 +36,23 @@ class GuaranteeViolation(AssertionError):
     """A guarantee that should hold on well-formed data failed."""
 
 
-def _check_expert_consistent(phi0, data, instances) -> list[Instance]:
-    problems = validate(data, instances)
-    if problems:
-        raise ValueError("invalid trajectory data: " + "; ".join(problems))
-    insts = [instances[t.instance_id] for t in data]
-    w0 = as_weights(phi0, insts[0].dim)
-    for n, traj in enumerate(data):
-        chosen = solve(w0, insts[n], tie_tol=0.0).chosen
-        if not np.array_equal(chosen, traj.action):
-            raise GuaranteeViolation(
-                f"expert action {n} is not the solver output for the given "
-                f"ground-truth weights: got {traj.action.tolist()}, "
-                f"solver returns {chosen.tolist()}"
-            )
-    return insts
+def _check_expert_consistent(
+    phi0, data, instances
+) -> tuple[PackedInstances, np.ndarray]:
+    """The packed decision instances and the expert actions, after checking
+    that the exact solver under ``phi0`` reproduces every expert action."""
+    insts, expert = checked_decisions(data, instances)
+    store = pack(insts)
+    truth = solve_packed(phi0, store, tie_tol=0.0)
+    wrong = np.flatnonzero(np.any(truth != expert, axis=1))
+    if wrong.size:
+        n = int(wrong[0])
+        raise GuaranteeViolation(
+            f"expert action {n} is not the solver output for the given "
+            f"ground-truth weights: got {expert[n].tolist()}, "
+            f"solver returns {truth[n].tolist()}"
+        )
+    return store, expert
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,11 @@ def reward_gap_report(
     ``phi0``; each gap is nonnegative and their mean is the training
     objective at ``phi``.
     """
-    insts = _check_expert_consistent(phi0, data, instances)
-    w = as_weights(phi, insts[0].dim)
-    gaps = np.array(
-        [
-            float(w @ solve(w, insts[n], tie_tol).chosen - w @ traj.action)
-            for n, traj in enumerate(data)
-        ]
-    )
+    store, expert = _check_expert_consistent(phi0, data, instances)
+    w = as_weights(phi, store.dim)
+    chosen = solve_packed(w, store, tie_tol)
+    # One dot product per row, so each gap rounds as ``w @ action`` does.
+    gaps = np.array([float(w @ a - w @ e) for a, e in zip(chosen, expert)])
     if np.any(gaps < -DUST):
         worst = int(np.argmin(gaps))
         raise GuaranteeViolation(
@@ -115,11 +114,9 @@ def equivalence_check(
     Runs with exact tie-breaking (tie_tol = 0); meaningful on instances
     whose scores are exact in floating point.
     """
-    insts = _check_expert_consistent(phi0, data, instances)
-    w = as_weights(phi, insts[0].dim)
-    w0 = as_weights(phi0, insts[0].dim)
-    learner = np.stack([solve(w, inst, tie_tol=0.0).chosen for inst in insts])
-    truth = np.stack([solve(w0, inst, tie_tol=0.0).chosen for inst in insts])
+    store, _ = _check_expert_consistent(phi0, data, instances)
+    learner = solve_packed(phi, store, tie_tol=0.0)
+    truth = solve_packed(phi0, store, tie_tol=0.0)
     return EquivalenceReport(
         subgrad_zero=bool(np.all((learner - truth).sum(axis=0) == 0.0)),
         actions_equal=bool(np.all(learner == truth)),

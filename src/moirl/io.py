@@ -203,13 +203,13 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(max_iters, int) or isinstance(max_iters, bool):
         raise SchemaError("/max_iters", "expected an integer")
     target_eps = obj.get("target_eps")
+    # Other keys, such as the retired "n_jobs", are ignored.
     return RunConfig(
         schedule=StepSchedule(kind=kind, alpha0=float(alpha0)),
         max_iters=max_iters,
         target_eps=None if target_eps is None else float(target_eps),
         tie_tol=float(obj.get("tie_tol", 0.0)),
         seed=int(obj.get("seed", 0)),
-        n_jobs=int(obj.get("n_jobs", 1)),
     )
 
 
@@ -221,7 +221,6 @@ def save_run_config(cfg: RunConfig, path) -> None:
             "target_eps": cfg.target_eps,
             "tie_tol": cfg.tie_tol,
             "seed": cfg.seed,
-            "n_jobs": cfg.n_jobs,
         },
         path,
     )

@@ -9,15 +9,14 @@ when the weights reproduce every expert decision's reward.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .domain import Instance, TrajectorySet, as_weights, validate
+from .domain import Instance, TrajectorySet, as_weights, checked_decisions
 from .projection import contains, project
-from .solvers import solve
+from .solvers import pack, solve_packed
 
 __all__ = [
     "StepSchedule",
@@ -55,15 +54,14 @@ class RunConfig:
     target_eps: Optional[float] = None
     tie_tol: float = 0.0
     seed: int = 0
-    n_jobs: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.target_eps is not None and not self.target_eps > 0:
             raise ValueError("target_eps must be positive when given")
-        if self.tie_tol < 0:
-            raise ValueError("tie_tol must be nonnegative")
+        if not 0 <= self.tie_tol < np.inf:
+            raise ValueError("tie_tol must be finite and nonnegative")
 
 
 @dataclass
@@ -89,41 +87,20 @@ class RunLog:
         return self.weights[int(np.argmin(upto))]
 
 
-def _solved_actions(phi, insts, tie_tol, pool=None) -> np.ndarray:
-    if pool is not None:
-        chosen = list(pool.map(lambda inst: solve(phi, inst, tie_tol).chosen, insts))
-    else:
-        chosen = [solve(phi, inst, tie_tol).chosen for inst in insts]
-    return np.stack(chosen)
-
-
-def _prepare(data: TrajectorySet, instances: Mapping[str, Instance]):
-    problems = validate(data, instances)
-    if problems:
-        raise ValueError("invalid trajectory data: " + "; ".join(problems))
-    insts = [instances[t.instance_id] for t in data]
-    expert = np.stack([t.action for t in data])
-    return insts, expert
-
-
 def objective_value(phi, data, instances, tie_tol: float = 0.0) -> float:
     """Mean best-achievable reward under phi minus mean expert reward.
 
     Nonnegative whenever every expert action is feasible for its
     instance; zero iff phi rates each expert action as optimal.
     """
-    insts, expert = _prepare(data, instances)
-    w = as_weights(phi, insts[0].dim)
-    learner = _solved_actions(w, insts, tie_tol)
-    return float((learner - expert).mean(axis=0) @ w)
+    g = subgradient(phi, data, instances, tie_tol)
+    return float(g @ as_weights(phi, g.size))
 
 
 def subgradient(phi, data, instances, tie_tol: float = 0.0) -> np.ndarray:
     """A subgradient of the objective: mean solved action minus mean expert action."""
-    insts, expert = _prepare(data, instances)
-    w = as_weights(phi, insts[0].dim)
-    learner = _solved_actions(w, insts, tie_tol)
-    return (learner - expert).mean(axis=0)
+    insts, expert = checked_decisions(data, instances)
+    return (solve_packed(phi, pack(insts), tie_tol) - expert).mean(axis=0)
 
 
 def train(
@@ -140,8 +117,9 @@ def train(
     objective and subgradient are logged, then the next iterate is the
     projection of the subgradient step back onto the feasible set.
     """
-    insts, expert = _prepare(data, instances)
-    d = insts[0].dim
+    insts, expert = checked_decisions(data, instances)
+    store = pack(insts)
+    d = store.dim
     if phi1 is None:
         phi = project(feasible, np.zeros(d))
     else:
@@ -150,30 +128,21 @@ def train(
             warnings.warn("initial weights outside the feasible set; projecting")
             phi = project(feasible, phi)
 
-    pool = ThreadPoolExecutor(cfg.n_jobs) if cfg.n_jobs > 1 else None
     iters, phis, objs, gnorms = [], [], [], []
     best_phi, best_obj, best_iter = phi, np.inf, 0
-    try:
-        for k in range(1, cfg.max_iters + 1):
-            try:
-                learner = _solved_actions(phi, insts, cfg.tie_tol, pool)
-            except Exception as exc:
-                raise RuntimeError(f"solver failure at iteration {k}: {exc}") from exc
-            g = (learner - expert).mean(axis=0)
-            obj = float(g @ phi)
-            iters.append(k)
-            phis.append(phi)
-            objs.append(obj)
-            gnorms.append(float(np.linalg.norm(g)))
-            if obj < best_obj:
-                best_phi, best_obj, best_iter = phi, obj, k
-            if cfg.target_eps is not None and best_obj < cfg.target_eps:
-                break
-            if k < cfg.max_iters:
-                phi = project(feasible, phi - cfg.schedule.step(k) * g)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for k in range(1, cfg.max_iters + 1):
+        g = (solve_packed(phi, store, cfg.tie_tol) - expert).mean(axis=0)
+        obj = float(g @ phi)
+        iters.append(k)
+        phis.append(phi)
+        objs.append(obj)
+        gnorms.append(float(np.linalg.norm(g)))
+        if obj < best_obj:
+            best_phi, best_obj, best_iter = phi, obj, k
+        if cfg.target_eps is not None and best_obj < cfg.target_eps:
+            break
+        if k < cfg.max_iters:
+            phi = project(feasible, phi - cfg.schedule.step(k) * g)
 
     return RunLog(
         iterations=np.array(iters, dtype=int),

@@ -1,7 +1,8 @@
 """Forward solvers: maximize a scalarized linear objective over a finite
 action set, breaking ties by taking the lexicographically smallest
-maximizer.  Also instance generators for explicit sets, 0/1 knapsacks,
-and polytope vertex lists.
+maximizer.  ``solve`` handles one instance; ``solve_packed`` handles a
+whole decision list packed once by ``pack``.  Also instance generators
+for explicit sets, 0/1 knapsacks, and polytope vertex lists.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from .domain import Instance, as_weights, make_instance
 __all__ = [
     "ArgmaxResult",
     "KnapsackSpec",
+    "PackedInstances",
     "lex_min",
+    "pack",
     "solve",
+    "solve_packed",
     "knapsack_instance",
     "polytope_vertex_instance",
     "DEFAULT_TIE_TOL",
@@ -67,6 +71,73 @@ def solve(phi, inst: Instance, tie_tol: float = DEFAULT_TIE_TOL) -> ArgmaxResult
     scale = max(1.0, abs(best))
     tied = inst.actions[scores >= best - tie_tol * scale]
     return ArgmaxResult(optimal_value=best, optimal_set=tied, chosen=lex_min(tied))
+
+
+@dataclass(frozen=True, eq=False)
+class PackedInstances:
+    """A decision list's action sets stored end to end (CSR layout).
+
+    Segment ``i`` is ``actions[starts[i] : starts[i] + sizes[i]]``, the
+    canonical actions of the i-th instance.
+    """
+
+    actions: np.ndarray  # (total rows, d)
+    starts: np.ndarray  # (N,) first row of each segment
+    sizes: np.ndarray  # (N,) rows per segment, each >= 1
+
+    @property
+    def dim(self) -> int:
+        return self.actions.shape[1]
+
+
+def pack(insts: list[Instance]) -> PackedInstances:
+    """Pack instances, one segment each and in order, for ``solve_packed``.
+
+    A single instance is stored as its own actions array, not a copy.
+    """
+    dims = sorted({inst.dim for inst in insts})
+    if len(dims) != 1:
+        raise ValueError(f"instances have mixed dimensions {dims}")
+    sizes = np.array([inst.actions.shape[0] for inst in insts])
+    if len(insts) == 1:
+        actions = insts[0].actions
+    else:
+        actions = np.concatenate([inst.actions for inst in insts])
+    starts = np.zeros_like(sizes)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return PackedInstances(actions=actions, starts=starts, sizes=sizes)
+
+
+def solve_packed(
+    phi, store: PackedInstances, tie_tol: float = DEFAULT_TIE_TOL
+) -> np.ndarray:
+    """``solve(phi, inst, tie_tol).chosen`` for every packed instance at once.
+
+    Returns an (N, d) array of chosen actions.  One ``actions @ phi``
+    product scores every row; each segment's maximum and tie threshold
+    follow ``solve``, and its first row at or above the threshold is the
+    lexicographic minimum of the optimal set, because actions are in
+    canonical order.  The choice equals ``solve``'s whenever each row
+    scores the same in the packed array as in its instance's own array:
+    always for exact scores, e.g. integer actions with dyadic weights.
+    With inexact scores a BLAS may round a row's dot product differently
+    by its position in the array, and then two actions whose exact
+    scores tie can be broken differently.
+    """
+    w = as_weights(phi, store.dim)
+    if not tie_tol >= 0:
+        raise ValueError("tie tolerance must be nonnegative")
+    scores = store.actions @ w
+    threshold = np.maximum.reduceat(scores, store.starts)
+    if tie_tol > 0:
+        threshold = threshold - tie_tol * np.maximum(1.0, np.abs(threshold))
+    tied = np.flatnonzero(scores >= np.repeat(threshold, store.sizes))
+    first = np.searchsorted(tied, store.starts)
+    # Without a tied row of its own (NaN scores), a segment would get the
+    # next segment's first one.
+    if first[-1] == tied.size or np.any(tied[first] >= store.starts + store.sizes):
+        raise ValueError("empty candidate set")
+    return store.actions[tied[first]]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import Instance, Trajectory, TrajectorySet, as_weights, make_instance
+from .domain import Instance, Trajectory, TrajectorySet, make_instance
 from .io import SchemaError, _field, _matrix, _vector
-from .solvers import KnapsackSpec, knapsack_instance, polytope_vertex_instance, solve
+from .solvers import (
+    KnapsackSpec,
+    knapsack_instance,
+    pack,
+    polytope_vertex_instance,
+    solve_packed,
+)
 
 __all__ = [
     "random_instances",
@@ -101,12 +107,10 @@ def instances_from_spec(obj, seed: int = 0) -> dict[str, Instance]:
 
 def expert_trajectories(phi0, instances: Mapping[str, Instance]) -> TrajectorySet:
     """One expert decision per instance, from the exact solver under phi0."""
-    dims = {inst.dim for inst in instances.values()}
-    if len(dims) != 1:
-        raise ValueError(f"instances have mixed dimensions {sorted(dims)}")
-    w0 = as_weights(phi0, dims.pop())
-    trajs = tuple(
-        Trajectory(instance_id=inst.id, action=solve(w0, inst, tie_tol=0.0).chosen)
-        for inst in instances.values()
+    insts = list(instances.values())
+    chosen = solve_packed(phi0, pack(insts), tie_tol=0.0)
+    return TrajectorySet(
+        trajectories=tuple(
+            Trajectory(instance_id=inst.id, action=a) for inst, a in zip(insts, chosen)
+        )
     )
-    return TrajectorySet(trajectories=trajs)

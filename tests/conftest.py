@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from moirl.domain import Ball
 from moirl.synth import expert_trajectories, random_instances
+
+# Fixed example sequences and no per-example time limit: tier-1 runs on
+# small, noisy machines, where a deadline or a fresh draw can flake.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_problem(seed, dim=2, count=4, n_actions=8, low=-10, high=10,

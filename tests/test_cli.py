@@ -142,6 +142,27 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:VALIDATION:")
 
+    @pytest.mark.parametrize("case", ["config_tie_tol", "flag_tie_tol", "box_lo"])
+    def test_nan_input_exits_2(self, fixture_files, capsys, case):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        extra = []
+        if case == "config_tie_tol":
+            cfg = json.loads(config.read_text())
+            write_json(config, {**cfg, "tie_tol": float("nan")})
+        elif case == "flag_tie_tol":
+            extra = ["--tie-tol", "nan"]
+        else:
+            write_json(feasible, {"kind": "box", "lo": [float("nan"), -1.0],
+                                  "hi": [1.0, 1.0]})
+        capsys.readouterr()
+        code = main(["train", str(data_dir), str(feasible), str(config),
+                     "--out", str(tmp_path / "run"), *extra])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+
     def test_missing_file_exits_4(self, fixture_files, capsys):
         tmp_path, _, _, feasible, config = fixture_files
         code = main(["train", str(tmp_path / "nope"), str(feasible),

@@ -161,19 +161,29 @@ class TestTrain:
                         cfg=RunConfig(max_iters=1))
         assert np.linalg.norm(log.weights[0]) <= 1.0 + 1e-12
 
+    def test_matches_reference_loop_over_solve(self, unit_ball2):
+        instances, data, _, _ = random_problem(seed=31, dim=2, count=40,
+                                               n_actions=9)
+        cfg = RunConfig(schedule=StepSchedule("inverse_sqrt", 0.5), max_iters=60)
+        phi1 = np.array([0.3, -0.7])
+        log = train(data, instances, unit_ball2, phi1=phi1, cfg=cfg)
+
+        insts = [instances[t.instance_id] for t in data]
+        expert = np.stack([t.action for t in data])
+        phi, phis, objs, gnorms = phi1, [], [], []
+        for k in range(1, cfg.max_iters + 1):
+            chosen = np.stack([solve(phi, inst, cfg.tie_tol).chosen for inst in insts])
+            g = (chosen - expert).mean(axis=0)
+            phis.append(phi)
+            objs.append(float(g @ phi))
+            gnorms.append(float(np.linalg.norm(g)))
+            phi = project(unit_ball2, phi - cfg.schedule.step(k) * g)
+        assert np.array_equal(log.weights, np.stack(phis))
+        assert np.array_equal(log.objectives, np.array(objs))
+        assert np.array_equal(log.grad_norms, np.array(gnorms))
+
     def test_best_tie_broken_by_earliest_iteration(self, unit_ball2):
         instances, data, phi0, _ = random_problem(seed=30)
         log = train(data, instances, unit_ball2, phi1=phi0,
                     cfg=RunConfig(max_iters=5))
         assert log.best_iteration == 1
-
-    def test_threaded_solves_match_serial(self, unit_ball2):
-        instances, data, _, _ = random_problem(seed=31, count=6)
-        kwargs = dict(schedule=StepSchedule("inverse_sqrt", 0.5), max_iters=100,
-                      tie_tol=0.0)
-        serial = train(data, instances, unit_ball2, phi1=np.array([0.0, 1.0]),
-                       cfg=RunConfig(**kwargs))
-        threaded = train(data, instances, unit_ball2, phi1=np.array([0.0, 1.0]),
-                         cfg=RunConfig(n_jobs=4, **kwargs))
-        assert np.array_equal(serial.weights, threaded.weights)
-        assert np.array_equal(serial.objectives, threaded.objectives)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moirl.domain import make_instance
+from moirl.domain import Instance, canonical_actions, make_instance
 from moirl.solvers import (
     KnapsackSpec,
+    PackedInstances,
     knapsack_instance,
     lex_min,
+    pack,
     polytope_vertex_instance,
     solve,
+    solve_packed,
 )
 
 
@@ -131,6 +134,85 @@ class TestSolve:
         inst = make_instance("a", [[1.0, 0.0], [1.0 - 1e-12, 1.0]])
         r = solve(np.array([1.0, 0.0]), inst, tie_tol=1e-9)
         assert len(r.optimal_set) == 2
+
+
+# Tie-heavy coordinates, signed zeros included.
+COORDS = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+DYADIC = st.integers(-8, 8).map(lambda k: k * 0.25)
+NON_DYADIC = st.sampled_from([0.1, -0.3, 1 / 3, 0.7]) | st.floats(-3, 3)
+
+
+@st.composite
+def packed_problems(draw, dims, weights):
+    """Instances of mixed sizes (1-row segments and one-instance lists
+    included), weights and a tie tolerance."""
+    d = draw(dims)
+    row = st.lists(COORDS, min_size=d, max_size=d)
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    insts = [
+        Instance(f"i{n}", draw(st.lists(row, min_size=size, max_size=size)))
+        for n, size in enumerate(sizes)
+    ]
+    phi = np.array(draw(st.lists(weights, min_size=d, max_size=d)))
+    return insts, phi, draw(st.sampled_from([0.0, 1e-9, 0.3]))
+
+
+def assert_packed_matches_solve(insts, phi, tie_tol):
+    got = solve_packed(phi, pack(insts), tie_tol)
+    want = np.stack([solve(phi, inst, tie_tol).chosen for inst in insts])
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSolvePacked:
+    # Few coordinates keep exact ties frequent under both kinds of weights.
+    @given(packed_problems(st.integers(1, 4), DYADIC | NON_DYADIC))
+    @settings(max_examples=300)
+    def test_matches_solve_bit_for_bit(self, problem):
+        assert_packed_matches_solve(*problem)
+
+    # Exact scores at any dimension.  With inexact scores at d >= 8,
+    # OpenBLAS rounds a row's dot product by its position in the matrix,
+    # so near-ties may break differently (see ``solve_packed``).
+    @given(packed_problems(st.integers(5, 10), DYADIC))
+    @settings(max_examples=100)
+    def test_matches_solve_on_exact_scores(self, problem):
+        assert_packed_matches_solve(*problem)
+
+    def test_directly_built_instance_is_canonical(self):
+        rows = [[1, 0], [0, 1], [1, 0], [-1, 1], [0, 1]]
+        inst = Instance("x", rows)
+        assert np.array_equal(inst.actions, canonical_actions(rows))
+        store = pack([inst, inst])
+        for phi in ([1.0, 1.0], [0.0, 0.0], [-1.0, 0.5]):
+            want = solve(phi, inst, tie_tol=0.0).chosen
+            for got in solve_packed(phi, store, tie_tol=0.0):
+                assert got.tobytes() == want.tobytes()
+
+    def test_single_instance_store_shares_the_array(self):
+        inst = make_instance("a", [[0.0, 1.0], [1.0, 0.0]])
+        assert pack([inst]).actions is inst.actions
+
+    def test_mixed_dimensions_rejected(self):
+        insts = [make_instance("a", [[0.0]]), make_instance("b", [[0.0, 1.0]])]
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            pack(insts)
+
+    @pytest.mark.parametrize("tie_tol", [-1.0, np.nan])
+    def test_bad_tie_tol_rejected(self, tie_tol):
+        store = pack([make_instance("a", [[0.0], [1.0]])])
+        with pytest.raises(ValueError, match="tie tolerance"):
+            solve_packed(np.array([1.0]), store, tie_tol)
+
+    def test_segment_without_candidates_rejected(self):
+        # A NaN score ties with nothing; its segment must not borrow the
+        # next segment's row.
+        store = PackedInstances(
+            actions=np.array([[np.nan], [1.0], [2.0]]),
+            starts=np.array([0, 1]),
+            sizes=np.array([1, 2]),
+        )
+        with pytest.raises(ValueError, match="empty candidate set"):
+            solve_packed(np.array([1.0]), store, tie_tol=0.0)
 
 
 class TestKnapsack:
