@@ -41,16 +41,10 @@ def _fail(code: int, tag: str, message: str) -> int:
 
 
 def cmd_generate(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec_obj = json.load(fh)
-    with open(args.phi0, encoding="utf-8") as fh:
-        phi0_obj = json.load(fh)
-    phi0 = np.asarray(phi0_obj["phi0"], dtype=float)
-    feasible = None
-    if "feasible" in phi0_obj:
-        feasible = mio.feasible_set_from_obj(phi0_obj["feasible"], "/feasible")
-        if not contains(feasible, phi0):
-            raise ValueError("ground-truth weights lie outside the feasible set")
+    spec_obj = mio.load_json(args.spec)
+    phi0, feasible = mio.load_ground_truth(args.phi0)
+    if feasible is not None and not contains(feasible, phi0):
+        raise ValueError("ground-truth weights lie outside the feasible set")
 
     instances = instances_from_spec(spec_obj, seed=args.seed)
     data = expert_trajectories(phi0, instances)
@@ -69,12 +63,9 @@ def cmd_train(args) -> int:
     instances = mio.load_instances(data_dir / "instances.json")
     data = mio.load_trajectories(data_dir / "expert_trajectories.json")
     feasible = mio.load_feasible_set(args.feasible)
-    cfg = mio.load_run_config(args.config)
+    cfg, phi1 = mio.load_train_config(args.config)
     if args.tie_tol is not None:
         cfg = dataclasses.replace(cfg, tie_tol=args.tie_tol)
-
-    with open(args.config, encoding="utf-8") as fh:
-        phi1 = json.load(fh).get("phi1")
     log = train(data, instances, feasible, phi1=phi1, cfg=cfg)
 
     out = Path(args.out)

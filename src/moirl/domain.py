@@ -45,16 +45,34 @@ def canonical_actions(actions) -> np.ndarray:
     """Deduplicate and lexicographically sort a list of action vectors.
 
     The canonical order makes serialization byte-stable and loading
-    idempotent; duplicates are dropped with set semantics.
+    idempotent; duplicates are dropped with set semantics.  Rows that
+    already increase strictly, as in every file ``save_instances``
+    writes, are copied as they are: ``np.unique`` would return the same
+    bits.
     """
     arr = np.asarray(actions, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("actions must be a nonempty list of equal-length vectors")
     if not np.all(np.isfinite(arr)):
         raise ValueError("action vectors must be finite")
-    arr = np.unique(arr, axis=0)  # sorts rows lexicographically and dedups
+    if _strictly_increasing(arr):
+        arr = arr.copy()
+    else:
+        arr = np.unique(arr, axis=0)  # sorts rows lexicographically and dedups
     arr.setflags(write=False)
     return arr
+
+
+def _strictly_increasing(arr: np.ndarray) -> bool:
+    """Whether each row is lexicographically greater than the one before.
+
+    Compares with ``<``, as ``np.unique``'s sort does, so ``-0.0`` and
+    ``0.0`` are equal.
+    """
+    prev, nxt = arr[:-1], arr[1:]
+    first = (prev != nxt).argmax(axis=1)  # first differing column of each pair
+    rows = np.arange(first.size)
+    return bool(np.all(prev[rows, first] < nxt[rows, first]))
 
 
 @dataclass(frozen=True)

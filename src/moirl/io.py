@@ -8,6 +8,8 @@ bit-identical and repeated saves of the same data are byte-identical.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -34,6 +36,9 @@ __all__ = [
     "load_feasible_set",
     "save_feasible_set",
     "load_run_config",
+    "load_train_config",
+    "load_ground_truth",
+    "load_json",
     "save_run_config",
     "load_manifest",
     "save_manifest",
@@ -52,9 +57,14 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _load_json(path) -> Any:
+def _reject_constant(name: str):
+    raise SchemaError("", f"non-finite number {name} is not allowed")
+
+
+def load_json(path) -> Any:
+    """Parse a JSON file; ``NaN``, ``Infinity`` and ``-Infinity`` raise SchemaError."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def _dump_json(obj, path) -> None:
@@ -63,20 +73,55 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _vector(obj, ptr: str) -> list[float]:
+_NUMBER_TYPES = {int, float}
+
+
+def _number(x, ptr: str) -> float:
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise SchemaError(ptr, "expected a number")
+    try:
+        v = float(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise SchemaError(ptr, "expected a finite number")
+    return v
+
+
+def _floats(obj, elements) -> np.ndarray | None:
+    """``obj`` as a float array if each of its ``elements`` is an int or a float.
+
+    Returns None when some element is of another type or too large for
+    a float; the caller's element-wise checks then name the culprit.
+    The caller also checks that the numbers are finite: json reads a
+    literal such as ``1e400`` as inf.  A sum is finite only if every term
+    is, and a finite sum is cheaper to check for than each term.
+    """
+    if set(map(type, elements)) <= _NUMBER_TYPES:
+        try:
+            return np.array(obj, dtype=float)
+        except OverflowError:
+            pass
+    return None
+
+
+def _vector(obj, ptr: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(ptr, "expected a nonempty array of numbers")
-    out = []
-    for i, x in enumerate(obj):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise SchemaError(f"{ptr}/{i}", "expected a number")
-        out.append(float(x))
+    out = _floats(obj, obj)
+    if out is None or not math.isfinite(sum(obj, 0.0)):
+        out = np.array([_number(x, f"{ptr}/{i}") for i, x in enumerate(obj)])
     return out
 
 
-def _matrix(obj, ptr: str) -> list[list[float]]:
+def _matrix(obj, ptr: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(ptr, "expected a nonempty array of vectors")
+    # Fast path: a rectangular list of nonempty lists of numbers.
+    if set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1 and obj[0]:
+        out = _floats(obj, chain.from_iterable(obj))
+        if out is not None and math.isfinite(out.sum()):
+            return out
     rows = [_vector(row, f"{ptr}/{i}") for i, row in enumerate(obj)]
     width = len(rows[0])
     for i, row in enumerate(rows):
@@ -84,7 +129,7 @@ def _matrix(obj, ptr: str) -> list[list[float]]:
             raise SchemaError(
                 f"{ptr}/{i}", f"ragged row: length {len(row)}, expected {width}"
             )
-    return rows
+    return np.array(rows)
 
 
 def _field(obj, key: str, ptr: str):
@@ -98,7 +143,7 @@ def _field(obj, key: str, ptr: str):
 # -- instances and trajectories ------------------------------------------------
 
 def load_instances(path) -> dict[str, Instance]:
-    data = _load_json(path)
+    data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of instance objects")
     out: dict[str, Instance] = {}
@@ -115,17 +160,35 @@ def load_instances(path) -> dict[str, Instance]:
 
 
 def save_instances(instances: Mapping[str, Instance], path) -> None:
-    _dump_json(
-        [
-            {"id": inst.id, "state": inst.state, "actions": inst.actions.tolist()}
-            for inst in instances.values()
-        ],
-        path,
-    )
+    """Write instances in ``json.dump(..., indent=2)``'s layout, plus a newline.
+
+    Only each instance's ``id`` and ``state`` go through ``json``.  Its
+    actions are written with one ``%r`` format over all of their
+    numbers, which gives the text ``json`` would (it writes a float as
+    its ``repr``) without its pure-Python indenting encoder.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if not instances:
+            fh.write("[]\n")
+            return
+        sep = "[\n  "
+        for inst in instances.values():
+            head = json.dumps({"id": inst.id, "state": inst.state}, indent=2)
+            n, d = inst.actions.shape
+            row = "      [\n" + ",\n".join(["        %r"] * d) + "\n      ]"
+            fh.write(sep)
+            # Drop the closing "\n}" and indent one level; json escapes
+            # newlines inside strings, so every "\n" here starts a line.
+            fh.write(head[:-2].replace("\n", "\n  "))
+            fh.write(',\n    "actions": [\n')
+            fh.write(",\n".join([row] * n) % tuple(inst.actions.ravel().tolist()))
+            fh.write("\n    ]\n  }")
+            sep = ",\n  "
+        fh.write("\n]\n")
 
 
 def load_trajectories(path) -> TrajectorySet:
-    data = _load_json(path)
+    data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of trajectory objects")
     trajs = []
@@ -135,7 +198,7 @@ def load_trajectories(path) -> TrajectorySet:
         if not isinstance(iid, str):
             raise SchemaError(f"{ptr}/instance_id", "expected a string")
         action = _vector(_field(entry, "action", ptr), f"{ptr}/action")
-        trajs.append(Trajectory(instance_id=iid, action=np.array(action)))
+        trajs.append(Trajectory(instance_id=iid, action=action))
     if not trajs:
         raise SchemaError("", "trajectory file must contain at least one entry")
     return TrajectorySet(trajectories=tuple(trajs))
@@ -167,16 +230,13 @@ def feasible_set_from_obj(obj, ptr: str = "") -> FeasibleSet:
     kind = _field(obj, "kind", ptr)
     if kind == "box":
         return Box(
-            lo=np.array(_vector(_field(obj, "lo", ptr), f"{ptr}/lo")),
-            hi=np.array(_vector(_field(obj, "hi", ptr), f"{ptr}/hi")),
+            lo=_vector(_field(obj, "lo", ptr), f"{ptr}/lo"),
+            hi=_vector(_field(obj, "hi", ptr), f"{ptr}/hi"),
         )
     if kind == "ball":
-        radius = _field(obj, "radius", ptr)
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool):
-            raise SchemaError(f"{ptr}/radius", "expected a number")
         return Ball(
-            center=np.array(_vector(_field(obj, "center", ptr), f"{ptr}/center")),
-            radius=float(radius),
+            center=_vector(_field(obj, "center", ptr), f"{ptr}/center"),
+            radius=_number(_field(obj, "radius", ptr), f"{ptr}/radius"),
         )
     if kind == "simplex":
         dim = _field(obj, "dim", ptr)
@@ -187,7 +247,7 @@ def feasible_set_from_obj(obj, ptr: str = "") -> FeasibleSet:
 
 
 def load_feasible_set(path) -> FeasibleSet:
-    return feasible_set_from_obj(_load_json(path))
+    return feasible_set_from_obj(load_json(path))
 
 
 def save_feasible_set(fs: FeasibleSet, path) -> None:
@@ -195,22 +255,29 @@ def save_feasible_set(fs: FeasibleSet, path) -> None:
 
 
 def load_run_config(path) -> RunConfig:
-    obj = _load_json(path)
+    return load_train_config(path)[0]
+
+
+def load_train_config(path) -> tuple[RunConfig, np.ndarray | None]:
+    """``config.json``'s run config and its optional initial weights ``phi1``."""
+    obj = load_json(path)
     sched = _field(obj, "schedule", "")
     kind = _field(sched, "kind", "/schedule")
-    alpha0 = _field(sched, "alpha0", "/schedule")
+    alpha0 = _number(_field(sched, "alpha0", "/schedule"), "/schedule/alpha0")
     max_iters = _field(obj, "max_iters", "")
     if not isinstance(max_iters, int) or isinstance(max_iters, bool):
         raise SchemaError("/max_iters", "expected an integer")
     target_eps = obj.get("target_eps")
+    phi1 = obj.get("phi1")
     # Other keys, such as the retired "n_jobs", are ignored.
-    return RunConfig(
-        schedule=StepSchedule(kind=kind, alpha0=float(alpha0)),
+    cfg = RunConfig(
+        schedule=StepSchedule(kind=kind, alpha0=alpha0),
         max_iters=max_iters,
-        target_eps=None if target_eps is None else float(target_eps),
-        tie_tol=float(obj.get("tie_tol", 0.0)),
+        target_eps=None if target_eps is None else _number(target_eps, "/target_eps"),
+        tie_tol=_number(obj.get("tie_tol", 0.0), "/tie_tol"),
         seed=int(obj.get("seed", 0)),
     )
+    return cfg, None if phi1 is None else _vector(phi1, "/phi1")
 
 
 def save_run_config(cfg: RunConfig, path) -> None:
@@ -226,12 +293,24 @@ def save_run_config(cfg: RunConfig, path) -> None:
     )
 
 
-def load_manifest(path) -> dict:
-    obj = _load_json(path)
+def _ground_truth(obj) -> tuple[np.ndarray, FeasibleSet | None]:
     phi0 = _vector(_field(obj, "phi0", ""), "/phi0")
-    out = {"phi0": np.array(phi0), "seed": int(_field(obj, "seed", ""))}
-    if "feasible" in obj:
-        out["feasible"] = feasible_set_from_obj(obj["feasible"], "/feasible")
+    if "feasible" not in obj:
+        return phi0, None
+    return phi0, feasible_set_from_obj(obj["feasible"], "/feasible")
+
+
+def load_ground_truth(path) -> tuple[np.ndarray, FeasibleSet | None]:
+    """``phi0.json``: the ground-truth weights and the optional feasible set."""
+    return _ground_truth(load_json(path))
+
+
+def load_manifest(path) -> dict:
+    obj = load_json(path)
+    phi0, feasible = _ground_truth(obj)
+    out = {"phi0": phi0, "seed": int(_field(obj, "seed", ""))}
+    if feasible is not None:
+        out["feasible"] = feasible
     return out
 
 
@@ -244,10 +323,12 @@ def save_manifest(phi0, seed: int, feasible: FeasibleSet | None, path) -> None:
 
 # -- run logs and summaries ----------------------------------------------------
 
+def _runlog_header(d: int) -> str:
+    return "k,F,grad_norm," + ",".join(f"phi_{j}" for j in range(d))
+
+
 def write_runlog_csv(log: RunLog, path) -> None:
-    d = log.weights.shape[1]
-    header = "k,F,grad_norm," + ",".join(f"phi_{j}" for j in range(d))
-    lines = [header]
+    lines = [_runlog_header(log.weights.shape[1])]
     for i in range(log.iters_run):
         row = [str(int(log.iterations[i])), repr(float(log.objectives[i])),
                repr(float(log.grad_norms[i]))]
@@ -258,25 +339,39 @@ def write_runlog_csv(log: RunLog, path) -> None:
 
 
 def read_runlog_csv(path) -> RunLog:
+    """Read ``run.csv``: the header ``write_runlog_csv`` writes, then rows
+    as wide as it, with ``k`` counting 1, 2, ... and finite values."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if len(lines) < 2:
         raise SchemaError("", "run log must have a header and at least one row")
+    width = len(lines[0].split(","))
+    if width < 4 or lines[0] != _runlog_header(width - 3):
+        raise SchemaError("header", "expected k,F,grad_norm,phi_0,...,phi_{d-1}")
     iters, objs, gnorms, phis = [], [], [], []
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
-        iters.append(int(parts[0]))
-        objs.append(float(parts[1]))
-        gnorms.append(float(parts[2]))
-        phis.append([float(x) for x in parts[3:]])
-    objs_arr = np.array(objs)
-    phis_arr = np.array(phis)
+        if len(parts) != width:
+            raise SchemaError(f"row {k}", f"{len(parts)} fields, header has {width}")
+        try:
+            iters.append(int(parts[0]))
+            objs.append(float(parts[1]))
+            gnorms.append(float(parts[2]))
+            phis.append([float(x) for x in parts[3:]])
+        except ValueError:
+            raise SchemaError(f"row {k}", "expected numbers") from None
+        if iters[-1] != k:
+            raise SchemaError(f"row {k}", f"k is {iters[-1]}, expected {k}")
+    objs_arr, gnorms_arr, phis_arr = np.array(objs), np.array(gnorms), np.array(phis)
+    finite = np.isfinite(np.column_stack([objs_arr, gnorms_arr, phis_arr])).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"row {int(np.argmin(finite)) + 1}", "non-finite value")
     best = int(np.argmin(objs_arr))
     return RunLog(
         iterations=np.array(iters, dtype=int),
         weights=phis_arr,
         objectives=objs_arr,
-        grad_norms=np.array(gnorms),
+        grad_norms=gnorms_arr,
         best_weights=phis_arr[best],
         best_objective=float(objs_arr[best]),
         best_iteration=int(iters[best]),
@@ -297,9 +392,9 @@ def write_summary(log: RunLog, path) -> None:
 
 
 def read_summary(path) -> dict:
-    obj = _load_json(path)
+    obj = load_json(path)
     return {
-        "best_phi": np.array(_vector(_field(obj, "best_phi", ""), "/best_phi")),
+        "best_phi": _vector(_field(obj, "best_phi", ""), "/best_phi"),
         "best_F": float(_field(obj, "best_F", "")),
         "best_iteration": int(_field(obj, "best_iteration", "")),
         "iters_run": int(_field(obj, "iters_run", "")),

@@ -30,6 +30,7 @@ DEFAULT_TIE_TOL = 1e-9
 
 # Explicit enumeration bound for knapsack subsets (2^20 candidate vectors).
 MAX_KNAPSACK_ITEMS = 20
+KNAPSACK_BLOCK = 2**14  # packings enumerated per block
 
 
 def lex_min(candidates) -> np.ndarray:
@@ -165,14 +166,28 @@ class KnapsackSpec:
 
 
 def knapsack_instance(spec: KnapsackSpec, id: str) -> Instance:
-    """Enumerate all feasible 0/1 packings and materialize their feature sums."""
+    """Enumerate all feasible 0/1 packings and materialize their feature sums.
+
+    Packings are enumerated in blocks of ``KNAPSACK_BLOCK`` rows of
+    ``uint8`` item masks (bit j of packing p in column j), so only the
+    feasible masks are kept whole.  Blocks start at multiples of a power
+    of two, so a row keeps its index modulo the small row groups a BLAS
+    kernel may round by (see ``solve_packed``) and its weight sum keeps
+    the bits of one product over all packings.  The feature sums stay
+    one product over all feasible packings: OpenBLAS rounds a row of
+    that product differently with the matrix's size.
+    """
     m = spec.weights.size
     if m > MAX_KNAPSACK_ITEMS:
         raise ValueError("enumeration bound exceeded")
-    subsets = (np.arange(2**m)[:, None] >> np.arange(m)) & 1  # (2^m, m)
-    feasible = subsets @ spec.weights <= spec.capacity
-    actions = subsets[feasible].astype(float) @ spec.item_features
-    return make_instance(id, actions)
+    feasible = []
+    for start in range(0, 2**m, KNAPSACK_BLOCK):
+        packings = np.arange(start, min(start + KNAPSACK_BLOCK, 2**m), dtype="<u4")
+        masks = np.unpackbits(
+            packings.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little"
+        )
+        feasible.append(masks[masks @ spec.weights <= spec.capacity])
+    return make_instance(id, np.concatenate(feasible) @ spec.item_features)
 
 
 def polytope_vertex_instance(vertices, id: str) -> Instance:

@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .domain import Instance, Trajectory, TrajectorySet, make_instance
-from .io import SchemaError, _field, _matrix, _vector
+from .io import SchemaError, _field, _matrix, _number, _vector
 from .solvers import (
     KnapsackSpec,
     knapsack_instance,
@@ -72,10 +72,10 @@ def instances_from_spec(obj, seed: int = 0) -> dict[str, Instance]:
             out[iid] = make_instance(iid, actions, state=entry.get("state"))
         elif kind == "knapsack":
             spec = KnapsackSpec(
-                weights=np.array(_vector(_field(entry, "weights", ptr), f"{ptr}/weights")),
-                capacity=float(_field(entry, "capacity", ptr)),
-                item_features=np.array(
-                    _matrix(_field(entry, "item_features", ptr), f"{ptr}/item_features")
+                weights=_vector(_field(entry, "weights", ptr), f"{ptr}/weights"),
+                capacity=_number(_field(entry, "capacity", ptr), f"{ptr}/capacity"),
+                item_features=_matrix(
+                    _field(entry, "item_features", ptr), f"{ptr}/item_features"
                 ),
             )
             out[iid] = knapsack_instance(spec, iid)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error:VALIDATION:")
 
 
+    def test_missing_phi0_key_exits_2(self, fixture_files, capsys):
+        tmp_path, spec, phi0, *_ = fixture_files
+        write_json(phi0, {"weights": [0.6, -0.8]})
+        code = main(["generate", str(spec), str(phi0), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+        assert "/phi0" in err[0]
+
+
 class TestTrain:
     def test_fixture_run_reaches_budget(self, fixture_files):
         tmp_path, spec, phi0, feasible, config = fixture_files
@@ -163,6 +174,24 @@ class TestTrain:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
 
+    @pytest.mark.parametrize("number", ["NaN", "1" + "0" * 400],
+                             ids=["nan", "overflowing-integer"])
+    def test_bad_number_in_instances_exits_2(self, fixture_files, capsys, number):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        path = data_dir / "instances.json"
+        text, n = re.subn(r"(\n +)-?[0-9][0-9.e+-]*", r"\g<1>" + number,
+                          path.read_text(), count=1)
+        assert n == 1
+        path.write_text(text)
+        capsys.readouterr()
+        code = main(["train", str(data_dir), str(feasible), str(config),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+
     def test_missing_file_exits_4(self, fixture_files, capsys):
         tmp_path, _, _, feasible, config = fixture_files
         code = main(["train", str(tmp_path / "nope"), str(feasible),
@@ -204,6 +233,18 @@ class TestVerify:
         assert main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"]) == 0
         report = json.loads((run_dir / "verify_report.json").read_text())
         assert set(report) == {"gaps", "F", "eps", "bound_eN", "equivalence"}
+
+    def test_truncated_run_csv_exits_2(self, fixture_files, capsys):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        csv = run_dir / "run.csv"
+        *rows, last = csv.read_text().splitlines()
+        csv.write_text("\n".join(rows + [",".join(last.split(",")[:2])]) + "\n")
+        capsys.readouterr()
+        code = main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
 
     def test_tampered_expert_file(self, fixture_files, capsys):
         tmp_path, spec, phi0, feasible, config = fixture_files

@@ -74,6 +74,39 @@ class TestCanonicalActions:
         with pytest.raises(ValueError):
             canonical_actions([[np.nan, 0.0]])
 
+    def test_rejects_zero_width(self):
+        with pytest.raises(ValueError):
+            canonical_actions(np.empty((1, 0)))
+
+    def test_sorted_input_is_copied_with_its_zero_signs(self):
+        rows = np.array([[-0.0, 1.0], [0.0, 2.0], [1.0, -0.0]])
+        arr = canonical_actions(rows)
+        assert arr is not rows and not arr.flags.writeable
+        assert arr.tobytes() == rows.tobytes()
+
+    @given(
+        st.integers(1, 4).flatmap(lambda d: st.lists(
+            st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1 / 3, 1.0, 1e300]),
+                     min_size=d, max_size=d),
+            min_size=1, max_size=10,
+        )),
+        st.sampled_from(["as drawn", "sorted", "sorted distinct"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_np_unique(self, rows, order, seed):
+        arr = np.array(rows)
+        if order == "sorted":
+            arr = arr[np.lexsort(arr.T[::-1])]
+        elif order == "sorted distinct":
+            arr = np.unique(arr, axis=0)
+        # Flip the sign of some zeros, so that equal rows can differ in bits.
+        flip = (arr == 0) & (np.random.default_rng(seed).random(arr.shape) < 0.5)
+        arr[flip] = -arr[flip]
+        want = np.unique(arr, axis=0)
+        got = canonical_actions(arr)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFeasibleSets:
     def test_box_requires_ordered_bounds(self):

@@ -1,7 +1,9 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moirl import io as mio
 from moirl.domain import Ball, Box, Simplex, Trajectory, TrajectorySet, make_instance
@@ -60,6 +62,164 @@ class TestInstanceRoundTrip:
             {"id": "a", "actions": [[2.0]]},
         ]))
         with pytest.raises(mio.SchemaError, match="duplicate"):
+            mio.load_instances(p)
+
+
+def json_dump_bytes(instances):
+    """The reference layout: json.dump(indent=2) of the instance objects."""
+    fh = io.StringIO()
+    json.dump(
+        [{"id": inst.id, "state": inst.state, "actions": inst.actions.tolist()}
+         for inst in instances.values()],
+        fh, indent=2,
+    )
+    return (fh.getvalue() + "\n").encode("utf-8")
+
+
+NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e22, 5e-324, 1.0, -3.0, 2.0**53, 1e16, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+STATES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def instance_maps(draw):
+    out = {}
+    for iid in draw(st.lists(st.text(max_size=6), unique=True, max_size=4)):
+        d = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(NUMBERS, min_size=d, max_size=d),
+                             min_size=1, max_size=5))
+        out[iid] = make_instance(iid, rows, state=draw(STATES))
+    return out
+
+
+class TestSaveInstancesLayout:
+    @given(instance_maps())
+    @settings(max_examples=150)
+    def test_bytes_equal_json_dump(self, tmp_path_factory, instances):
+        p = tmp_path_factory.mktemp("layout") / "instances.json"
+        mio.save_instances(instances, p)
+        assert p.read_bytes() == json_dump_bytes(instances)
+
+    @pytest.mark.parametrize("instances", [
+        {},
+        {"a": make_instance("a", [[1e22], [-0.0], [5e-324], [3.0]])},
+        {"é\n": make_instance("é\n", [[0.1, -2.0, 7.0]],
+                               state={"k": ["ü", None, {"x": "a\nb"}], "n": 1.5})},
+    ], ids=["empty", "d1", "one-row-nested-state"])
+    def test_edge_cases(self, tmp_path, instances):
+        p = tmp_path / "instances.json"
+        mio.save_instances(instances, p)
+        assert p.read_bytes() == json_dump_bytes(instances)
+        if not instances:
+            assert p.read_bytes() == b"[]\n"
+
+
+def loop_vector(obj, ptr):
+    """The element-by-element schema check, the reference for the fast path."""
+    if not isinstance(obj, list) or not obj:
+        raise mio.SchemaError(ptr, "expected a nonempty array of numbers")
+    out = []
+    for i, x in enumerate(obj):
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise mio.SchemaError(f"{ptr}/{i}", "expected a number")
+        out.append(float(x))
+    return out
+
+
+def loop_matrix(obj, ptr):
+    if not isinstance(obj, list) or not obj:
+        raise mio.SchemaError(ptr, "expected a nonempty array of vectors")
+    rows = [loop_vector(row, f"{ptr}/{i}") for i, row in enumerate(obj)]
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise mio.SchemaError(
+                f"{ptr}/{i}", f"ragged row: length {len(row)}, expected {width}"
+            )
+    return rows
+
+
+ELEMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 2**53 + 1, 2**63 + 1, -(2**64) - 1, 10**300]),
+)
+BAD_ELEMENTS = st.sampled_from([True, False, "1", None, [1.0], {}, [[2]]])
+
+
+@st.composite
+def mutated_matrices(draw):
+    """A rectangular matrix of numbers, with up to two mutations."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    obj = [[draw(ELEMENTS) for _ in range(d)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(obj) - 1))
+        row = obj[i]
+        kind = draw(st.sampled_from(
+            ["element", "empty", "shorter", "longer", "row", "whole"]))
+        if kind == "element" and isinstance(row, list) and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_ELEMENTS)
+        elif kind == "empty":
+            obj[i] = []
+        elif kind == "shorter" and isinstance(row, list) and row:
+            row.pop()
+        elif kind == "longer" and isinstance(row, list):
+            row.append(draw(ELEMENTS))
+        elif kind == "row":
+            obj[i] = draw(st.sampled_from([1.0, "row", None, {"a": 1}]))
+        elif kind == "whole":
+            return draw(st.sampled_from([[], {}, 3.0, "m", None]))
+    return obj
+
+
+def outcome(fn, obj):
+    try:
+        return np.array(fn(obj, "/m"), dtype=float)
+    except mio.SchemaError as exc:
+        return str(exc)
+
+
+class TestSchemaFastPath:
+    @given(mutated_matrices())
+    @settings(max_examples=300)
+    def test_matrix_agrees_with_loop(self, obj):
+        want, got = outcome(loop_matrix, obj), outcome(mio._matrix, obj)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(mutated_matrices())
+    def test_vector_agrees_with_loop(self, obj):
+        row = obj[0] if isinstance(obj, list) and obj else obj
+        want, got = outcome(loop_vector, row), outcome(mio._vector, row)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("obj, ptr", [
+        ([[1.0, 10**400]], "/m/0/1"),
+        ([[1.0], [float("inf")]], "/m/1/0"),
+    ])
+    def test_nonfinite_number_named(self, obj, ptr):
+        with pytest.raises(mio.SchemaError, match="expected a finite number") as exc:
+            mio._matrix(obj, "/m")
+        assert exc.value.pointer == ptr
+
+    @pytest.mark.parametrize("text", ["NaN", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_nonfinite_number_in_file_rejected(self, tmp_path, text):
+        p = tmp_path / "instances.json"
+        p.write_text('[{"id": "a", "actions": [[0.5, %s]]}]' % text)
+        with pytest.raises(mio.SchemaError):
             mio.load_instances(p)
 
 
@@ -144,6 +304,25 @@ class TestRunLog:
         assert np.array_equal(back.grad_norms, log.grad_norms)
         assert back.best_iteration == log.best_iteration
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0]], "fields, header has"),
+        (lambda lines: lines[:2] + lines[3:], "k is 3, expected 2"),
+        (lambda lines: lines[:2] + [lines[2].replace(lines[2].split(",")[1], "nan", 1)]
+         + lines[3:], "row 2: non-finite value"),
+        (lambda lines: lines[:3] + [lines[3].replace(lines[3].split(",")[2], "inf", 1)]
+         + lines[4:], "row 3: non-finite value"),
+        (lambda lines: lines[:2] + ["2,x" + lines[2][lines[2].index(",", 2):]]
+         + lines[3:], "row 2: expected numbers"),
+        (lambda lines: ["k,F,phi_0,phi_1,phi_2"] + lines[1:], "header"),
+    ], ids=["truncated-row", "k-gap", "nan", "inf", "not-a-number", "header"])
+    def test_malformed_csv_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "run.csv"
+        mio.write_runlog_csv(make_log(k=5, d=2), p)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(mio.SchemaError, match=message):
+            mio.read_runlog_csv(p)
+
     def test_summary_round_trip(self, tmp_path):
         log = make_log()
         p = tmp_path / "summary.json"
@@ -152,6 +331,32 @@ class TestRunLog:
         assert np.array_equal(back["best_phi"], log.best_weights)
         assert back["best_F"] == log.best_objective
         assert back["iters_run"] == log.iters_run
+
+
+class TestTrainConfig:
+    def test_phi1_read_with_the_run_config(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "schedule": {"kind": "harmonic", "alpha0": 1},
+            "max_iters": 3,
+            "phi1": [0.5, -1],
+        }))
+        cfg, phi1 = mio.load_train_config(p)
+        assert cfg == mio.load_run_config(p)
+        assert phi1.tolist() == [0.5, -1.0]
+
+    @pytest.mark.parametrize("key, value", [
+        ("tie_tol", None), ("target_eps", "x"), ("phi1", [1.0, True]),
+    ])
+    def test_bad_field_named(self, tmp_path, key, value):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "schedule": {"kind": "harmonic", "alpha0": 1},
+            "max_iters": 3,
+            key: value,
+        }))
+        with pytest.raises(mio.SchemaError, match=f"/{key}"):
+            mio.load_train_config(p)
 
 
 class TestManifest:

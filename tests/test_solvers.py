@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moirl.domain import Instance, canonical_actions, make_instance
 from moirl.solvers import (
@@ -245,6 +245,37 @@ class TestKnapsack:
                 expected.add(tuple(x @ feats))
         assert {tuple(a) for a in inst.actions.tolist()} == expected
         assert len(expected) == 5  # {}, {1}, {2}, {3}, {1,2}
+
+    @staticmethod
+    def one_shot(spec):
+        """The enumeration as one 2^m x m integer matrix, the reference."""
+        m = spec.weights.size
+        subsets = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+        feasible = subsets @ spec.weights <= spec.capacity
+        return subsets[feasible].astype(float) @ spec.item_features
+
+    # Up to 16 items, so the packings span up to four enumeration blocks.
+    # The explicit 17-item examples are sizes at which a feature-sum
+    # product per block, instead of one, changes the last bit of some sums.
+    @given(st.integers(1, 16), st.integers(1, 5), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @example(17, 1, False, 0)
+    @example(17, 3, False, 1)
+    @settings(max_examples=40)
+    def test_matches_one_shot_enumeration_bit_for_bit(self, m, d, dyadic, seed):
+        rng = np.random.default_rng(seed)
+        if dyadic:
+            weights = rng.integers(0, 13, m) * 0.25
+            feats = rng.integers(-20, 21, (m, d)) * 0.25
+        else:
+            weights = rng.random(m) * 3
+            feats = rng.normal(size=(m, d)) / 3
+        spec = KnapsackSpec(weights=weights, capacity=rng.uniform(0, weights.sum()),
+                            item_features=feats)
+        want = canonical_actions(self.one_shot(spec))
+        got = knapsack_instance(spec, "k").actions
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_enumeration_bound(self):
         spec = KnapsackSpec(
