@@ -31,7 +31,7 @@ from .solvers import (
     polytope_vertex_instance,
     solve,
 )
-from .wasserstein import linear_dual_lower_bound, projection_feature_lipschitz, w1_exact
+from .wasserstein import linear_dual_lower_bound, w1_exact
 
 __all__ = [
     "Ball", "Box", "FeasibleSet", "Instance", "Simplex", "Trajectory",
@@ -42,7 +42,7 @@ __all__ = [
     "contains", "project",
     "ArgmaxResult", "KnapsackSpec", "knapsack_instance", "lex_min",
     "polytope_vertex_instance", "solve",
-    "linear_dual_lower_bound", "projection_feature_lipschitz", "w1_exact",
+    "linear_dual_lower_bound", "w1_exact",
 ]
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@
 Subcommands: ``generate`` synthetic expert data from ground-truth
 weights, ``train`` weights from expert data, ``wasserstein`` distances
 between trajectory files, ``verify`` the imitation guarantees on a
-finished run.  Exit codes: 0 ok, 2 validation error, 3 guarantee
-violation, 4 I/O error.
+finished run.  Exit codes: 0 ok, 2 validation error (malformed JSON
+included), 3 guarantee violation, 4 I/O error (a missing or unreadable
+file).
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .guarantees import (
-    GuaranteeViolation,
-    corollary_check,
-    equivalence_check,
-    reward_gap_report,
-)
+from .guarantees import GuaranteeViolation, reward_gap_report, verify_run
 from .learner import train
 from .projection import contains
 from .synth import expert_trajectories, instances_from_spec
@@ -114,9 +110,7 @@ def cmd_verify(args) -> int:
     eps = args.eps
     n = len(data)
 
-    report = reward_gap_report(phi_best, phi0, data, instances, tie_tol=0.0)
-    k_eps = corollary_check(log, phi0, data, instances, eps)
-    equiv = equivalence_check(phi_best, phi0, data, instances)
+    report, k_eps, equiv = verify_run(log, phi_best, phi0, data, instances, eps)
 
     print(f"{'check':<28}{'result':<14}detail")
     print(f"{'reward gaps >= 0':<28}{'pass':<14}min gap {float(report.gaps.min())!r}")
@@ -201,9 +195,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except GuaranteeViolation as exc:
         return _fail(EXIT_GUARANTEE, "GUARANTEE", str(exc))
-    except (mio.SchemaError, ValueError) as exc:
+    except ValueError as exc:  # SchemaError, and json's JSONDecodeError, too
         return _fail(EXIT_VALIDATION, "VALIDATION", str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return _fail(EXIT_IO, "IO", str(exc))
 
 

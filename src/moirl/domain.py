@@ -26,6 +26,8 @@ __all__ = [
     "as_weights",
     "validate",
     "checked_decisions",
+    "PackedInstances",
+    "pack",
 ]
 
 
@@ -45,10 +47,13 @@ def canonical_actions(actions) -> np.ndarray:
     """Deduplicate and lexicographically sort a list of action vectors.
 
     The canonical order makes serialization byte-stable and loading
-    idempotent; duplicates are dropped with set semantics.  Rows that
-    already increase strictly, as in every file ``save_instances``
-    writes, are copied as they are: ``np.unique`` would return the same
-    bits.
+    idempotent; duplicates are dropped with set semantics.  The result
+    has the bits of ``np.unique(actions, axis=0)``.  Rows that already
+    increase strictly, as in every file ``save_instances`` writes, are
+    copied as they are.  Other rows get one stable ``np.lexsort`` and
+    lose each row equal to the one before it.  Only an array holding a
+    ``-0.0`` still goes through ``np.unique``: where two rows differ only
+    in the sign of a zero, its unstable sort decides which one is kept.
     """
     arr = np.asarray(actions, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -57,8 +62,15 @@ def canonical_actions(actions) -> np.ndarray:
         raise ValueError("action vectors must be finite")
     if _strictly_increasing(arr):
         arr = arr.copy()
+    elif np.any(np.signbit(arr[arr == 0])):
+        arr = np.unique(arr, axis=0)
     else:
-        arr = np.unique(arr, axis=0)  # sorts rows lexicographically and dedups
+        # np.lexsort keys are compared last-first, so feed columns reversed.
+        arr = arr[np.lexsort(arr.T[::-1])]
+        keep = np.empty(arr.shape[0], dtype=bool)
+        keep[0] = True
+        np.any(arr[1:] != arr[:-1], axis=1, out=keep[1:])
+        arr = arr[keep]
     arr.setflags(write=False)
     return arr
 
@@ -132,6 +144,41 @@ class TrajectorySet:
         return iter(self.trajectories)
 
 
+@dataclass(frozen=True, eq=False)
+class PackedInstances:
+    """A decision list's action sets stored end to end (CSR layout).
+
+    Segment ``i`` is ``actions[starts[i] : starts[i] + sizes[i]]``, the
+    canonical actions of the i-th instance.
+    """
+
+    actions: np.ndarray  # (total rows, d)
+    starts: np.ndarray  # (N,) first row of each segment
+    sizes: np.ndarray  # (N,) rows per segment, each >= 1
+
+    @property
+    def dim(self) -> int:
+        return self.actions.shape[1]
+
+
+def pack(insts: list[Instance]) -> PackedInstances:
+    """Pack instances, one segment each and in order, for ``solve_packed``.
+
+    A single instance is stored as its own actions array, not a copy.
+    """
+    dims = sorted({inst.dim for inst in insts})
+    if len(dims) != 1:
+        raise ValueError(f"instances have mixed dimensions {dims}")
+    sizes = np.array([inst.actions.shape[0] for inst in insts])
+    if len(insts) == 1:
+        actions = insts[0].actions
+    else:
+        actions = np.concatenate([inst.actions for inst in insts])
+    starts = np.zeros_like(sizes)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return PackedInstances(actions=actions, starts=starts, sizes=sizes)
+
+
 def validate(ts: TrajectorySet, instances: Mapping[str, Instance]) -> list[str]:
     """Check a trajectory set against its instances; returns diagnostics.
 
@@ -139,40 +186,61 @@ def validate(ts: TrajectorySet, instances: Mapping[str, Instance]) -> list[str]:
     instance, dimensions agree, and each expert action is exactly one of
     the instance's actions.  Never raises.
     """
-    violations: list[str] = []
-    for n, traj in enumerate(ts):
-        inst = instances.get(traj.instance_id)
-        if inst is None:
-            violations.append(
-                f"trajectory {n}: unknown instance id {traj.instance_id!r}"
-            )
-            continue
-        if traj.action.shape[0] != inst.dim:
-            violations.append(
-                f"trajectory {n}: action dimension {traj.action.shape[0]} "
-                f"!= instance dimension {inst.dim}"
-            )
-            continue
-        if not np.any(np.all(inst.actions == traj.action, axis=1)):
-            violations.append(
-                f"trajectory {n}: action {traj.action.tolist()} is not in the "
-                f"action set of instance {traj.instance_id!r}"
-            )
-    return violations
+    return _diagnose(ts, instances)[0]
 
 
 def checked_decisions(
     ts: TrajectorySet, instances: Mapping[str, Instance]
-) -> tuple[list[Instance], np.ndarray]:
-    """Each trajectory's instance, in order, and the (N, d) expert actions.
+) -> tuple[PackedInstances, np.ndarray]:
+    """Each trajectory's instance, packed in order, and the (N, d) expert actions.
 
-    Raises ValueError listing ``validate``'s diagnostics if there are any.
+    The store is the one ``validate``'s membership test ran on, so
+    callers solve on it without packing again.  Raises ValueError
+    listing ``validate``'s diagnostics if there are any, or if the
+    decisions have mixed dimensions.
     """
-    problems = validate(ts, instances)
+    problems, by_dim = _diagnose(ts, instances)
     if problems:
         raise ValueError("invalid trajectory data: " + "; ".join(problems))
-    insts = [instances[t.instance_id] for t in ts]
-    return insts, np.stack([t.action for t in ts])
+    if len(by_dim) != 1:
+        raise ValueError(f"instances have mixed dimensions {sorted(by_dim)}")
+    (store, expert), = by_dim.values()
+    return store, expert
+
+
+def _diagnose(ts, instances):
+    """``validate``'s diagnostics, and the packed store and expert actions
+    of the decisions whose action dimension is their instance's, keyed by
+    that dimension.  Each store's membership test is one row match
+    against the repeated expert actions and one ``logical_or.reduceat``.
+    """
+    trajs = list(ts)
+    insts = [instances.get(t.instance_id) for t in trajs]
+    problems: dict[int, str] = {}
+    groups: dict[int, list[int]] = {}
+    for n, (traj, inst) in enumerate(zip(trajs, insts)):
+        if inst is None:
+            problems[n] = f"trajectory {n}: unknown instance id {traj.instance_id!r}"
+        elif traj.action.shape[0] != inst.dim:
+            problems[n] = (
+                f"trajectory {n}: action dimension {traj.action.shape[0]} "
+                f"!= instance dimension {inst.dim}"
+            )
+        else:
+            groups.setdefault(inst.dim, []).append(n)
+    by_dim = {}
+    for d, rows in groups.items():
+        store = pack([insts[n] for n in rows])
+        expert = np.stack([trajs[n].action for n in rows])
+        match = np.all(store.actions == np.repeat(expert, store.sizes, axis=0), axis=1)
+        for j in np.flatnonzero(~np.logical_or.reduceat(match, store.starts)):
+            traj = trajs[rows[j]]
+            problems[rows[j]] = (
+                f"trajectory {rows[j]}: action {traj.action.tolist()} is not in the "
+                f"action set of instance {traj.instance_id!r}"
+            )
+        by_dim[d] = store, expert
+    return [problems[n] for n in sorted(problems)], by_dim
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,9 +14,15 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .domain import Instance, TrajectorySet, as_weights, checked_decisions
+from .domain import (
+    Instance,
+    PackedInstances,
+    TrajectorySet,
+    as_weights,
+    checked_decisions,
+)
 from .learner import RunLog
-from .solvers import PackedInstances, pack, solve_packed
+from .solvers import solve_packed
 from .wasserstein import w1_exact
 
 __all__ = [
@@ -26,6 +32,7 @@ __all__ = [
     "reward_gap_report",
     "equivalence_check",
     "corollary_check",
+    "verify_run",
 ]
 
 # Absolute slack for float dust in exact-statement checks.
@@ -38,11 +45,11 @@ class GuaranteeViolation(AssertionError):
 
 def _check_expert_consistent(
     phi0, data, instances
-) -> tuple[PackedInstances, np.ndarray]:
-    """The packed decision instances and the expert actions, after checking
-    that the exact solver under ``phi0`` reproduces every expert action."""
-    insts, expert = checked_decisions(data, instances)
-    store = pack(insts)
+) -> tuple[PackedInstances, np.ndarray, np.ndarray]:
+    """The packed decision instances, the expert actions and the exact
+    solver's actions under ``phi0``, after checking that the latter
+    reproduce every expert action."""
+    store, expert = checked_decisions(data, instances)
     truth = solve_packed(phi0, store, tie_tol=0.0)
     wrong = np.flatnonzero(np.any(truth != expert, axis=1))
     if wrong.size:
@@ -52,7 +59,7 @@ def _check_expert_consistent(
             f"ground-truth weights: got {expert[n].tolist()}, "
             f"solver returns {truth[n].tolist()}"
         )
-    return store, expert
+    return store, expert, truth
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,11 @@ def reward_gap_report(
     ``phi0``; each gap is nonnegative and their mean is the training
     objective at ``phi``.
     """
-    store, expert = _check_expert_consistent(phi0, data, instances)
+    store, expert, _ = _check_expert_consistent(phi0, data, instances)
+    return _gap_report(phi, store, expert, tie_tol)
+
+
+def _gap_report(phi, store: PackedInstances, expert, tie_tol: float) -> GapReport:
     w = as_weights(phi, store.dim)
     chosen = solve_packed(w, store, tie_tol)
     # One dot product per row, so each gap rounds as ``w @ action`` does.
@@ -90,7 +101,7 @@ def reward_gap_report(
             f"negative reward gap {gaps[worst]} at decision {worst}; "
             "expert action beats the solver under its own weights"
         )
-    return GapReport(gaps=gaps, objective=float(gaps.mean()), n=len(data))
+    return GapReport(gaps=gaps, objective=float(gaps.mean()), n=len(expert))
 
 
 @dataclass(frozen=True)
@@ -114,9 +125,12 @@ def equivalence_check(
     Runs with exact tie-breaking (tie_tol = 0); meaningful on instances
     whose scores are exact in floating point.
     """
-    store, _ = _check_expert_consistent(phi0, data, instances)
+    store, _, truth = _check_expert_consistent(phi0, data, instances)
+    return _equivalence(phi, store, truth)
+
+
+def _equivalence(phi, store: PackedInstances, truth) -> EquivalenceReport:
     learner = solve_packed(phi, store, tie_tol=0.0)
-    truth = solve_packed(phi0, store, tie_tol=0.0)
     return EquivalenceReport(
         subgrad_zero=bool(np.all((learner - truth).sum(axis=0) == 0.0)),
         actions_equal=bool(np.all(learner == truth)),
@@ -137,18 +151,43 @@ def corollary_check(
     [0, eps * N).  Returns the iteration index, or None if the run never
     reaches the budget.
     """
+    k = _first_below(log, eps)
+    if k is not None:
+        store, expert, _ = _check_expert_consistent(phi0, data, instances)
+        _check_budget(log, k, eps, store, expert)
+    return k
+
+
+def _first_below(log: RunLog, eps: float) -> Optional[int]:
     if not eps > 0:
         return None
-    best_trace = log.prefix_best()
-    hits = np.nonzero(best_trace < eps)[0]
-    if hits.size == 0:
-        return None
-    k = int(log.iterations[hits[0]])
-    phi_best = log.best_weights_at(k)
-    report = reward_gap_report(phi_best, phi0, data, instances, tie_tol=0.0)
+    hits = np.nonzero(log.prefix_best() < eps)[0]
+    return None if hits.size == 0 else int(log.iterations[hits[0]])
+
+
+def _check_budget(log: RunLog, k: int, eps: float, store, expert) -> None:
+    report = _gap_report(log.best_weights_at(k), store, expert, 0.0)
     if not report.within_budget(eps):
         raise GuaranteeViolation(
             f"reward gap exceeds eps*N at iteration {k}: "
             f"max gap {report.gaps.max()}, budget {eps * report.n}"
         )
-    return k
+
+
+def verify_run(
+    log: RunLog,
+    phi,
+    phi0,
+    data: TrajectorySet,
+    instances: Mapping[str, Instance],
+    eps: float,
+) -> tuple[GapReport, Optional[int], EquivalenceReport]:
+    """``reward_gap_report`` (``tie_tol`` 0), ``corollary_check`` and
+    ``equivalence_check`` at ``phi``, raising in that order, on one
+    validated store and one exact solve under ``phi0``."""
+    store, expert, truth = _check_expert_consistent(phi0, data, instances)
+    report = _gap_report(phi, store, expert, 0.0)
+    k = _first_below(log, eps)
+    if k is not None:
+        _check_budget(log, k, eps, store, expert)
+    return report, k, _equivalence(phi, store, truth)

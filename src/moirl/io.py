@@ -88,6 +88,12 @@ def _number(x, ptr: str) -> float:
     return v
 
 
+def _integer(x, ptr: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise SchemaError(ptr, "expected an integer")
+    return x
+
+
 def _floats(obj, elements) -> np.ndarray | None:
     """``obj`` as a float array if each of its ``elements`` is an int or a float.
 
@@ -159,31 +165,68 @@ def load_instances(path) -> dict[str, Instance]:
     return out
 
 
+# The text before and after a coordinate, by its place in its row: 1 marks
+# the first coordinate, 2 the last and 3 both (a row of one).
+_PLACES = [
+    (",\n        ", ""),
+    ("\n      [\n        ", ""),
+    (",\n        ", "\n      ],"),
+    ("\n      [\n        ", "\n      ],"),
+]
+
+
+def _coordinate_text(insts: list[Instance]) -> list[str]:
+    """Each action coordinate's text in ``json.dump(indent=2)``'s layout, in
+    file order: its ``repr`` after the comma, line break and indent that
+    precede it, where it starts a row with the row's opening bracket
+    instead of the comma, and where it ends a row followed by the closing
+    bracket and a comma.  ``repr`` runs once per distinct bit pattern in
+    the file (``0.0`` and ``-0.0`` differ)."""
+    bits = np.concatenate([inst.actions.ravel() for inst in insts]).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    index *= len(_PLACES)
+    widths = np.repeat([inst.dim for inst in insts], [len(i.actions) for i in insts])
+    ends = np.cumsum(widths)  # one past each row's last coordinate
+    index[ends - widths] += 1
+    index[ends - 1] += 2
+    table = [
+        pre + text + post
+        for text in map(repr, distinct.view(float).tolist())
+        for pre, post in _PLACES
+    ]
+    return np.array(table, dtype=object)[index].tolist()
+
+
 def save_instances(instances: Mapping[str, Instance], path) -> None:
     """Write instances in ``json.dump(..., indent=2)``'s layout, plus a newline.
 
-    Only each instance's ``id`` and ``state`` go through ``json``.  Its
-    actions are written with one ``%r`` format over all of their
-    numbers, which gives the text ``json`` would (it writes a float as
-    its ``repr``) without its pure-Python indenting encoder.
+    Only each instance's ``id`` and ``state`` go through ``json``, and
+    only a container state through its pure-Python indenting encoder.
+    The actions are written from ``_coordinate_text``, which formats one
+    ``repr`` per distinct float in the file, as ``json`` writes a float.
     """
+    insts = list(instances.values())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if not instances:
+        if not insts:
             fh.write("[]\n")
             return
-        sep = "[\n  "
-        for inst in instances.values():
-            head = json.dumps({"id": inst.id, "state": inst.state}, indent=2)
-            n, d = inst.actions.shape
-            row = "      [\n" + ",\n".join(["        %r"] * d) + "\n      ]"
-            fh.write(sep)
-            # Drop the closing "\n}" and indent one level; json escapes
-            # newlines inside strings, so every "\n" here starts a line.
-            fh.write(head[:-2].replace("\n", "\n  "))
-            fh.write(',\n    "actions": [\n')
-            fh.write(",\n".join([row] * n) % tuple(inst.actions.ravel().tolist()))
+        text = _coordinate_text(insts)
+        sep, end = "[\n  {\n", 0
+        for inst in insts:
+            state = inst.state
+            if isinstance(state, (dict, list, tuple)):
+                # json escapes newlines inside strings, so every "\n"
+                # here starts a line, and indenting it nests the value.
+                state = json.dumps(state, indent=2).replace("\n", "\n    ")
+            else:  # indent changes nothing else, and the C encoder is faster
+                state = json.dumps(state)
+            fh.write(f'{sep}    "id": {json.dumps(inst.id)},\n    "state": {state},\n')
+            start, end = end, end + inst.actions.size
+            fh.write('    "actions": [')
+            fh.write("".join(text[start : end - 1]))
+            fh.write(text[end - 1][:-1])  # the last row ends without a comma
             fh.write("\n    ]\n  }")
-            sep = ",\n  "
+            sep = ",\n  {\n"
         fh.write("\n]\n")
 
 
@@ -239,10 +282,7 @@ def feasible_set_from_obj(obj, ptr: str = "") -> FeasibleSet:
             radius=_number(_field(obj, "radius", ptr), f"{ptr}/radius"),
         )
     if kind == "simplex":
-        dim = _field(obj, "dim", ptr)
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise SchemaError(f"{ptr}/dim", "expected an integer")
-        return Simplex(dimension=dim)
+        return Simplex(dimension=_integer(_field(obj, "dim", ptr), f"{ptr}/dim"))
     raise SchemaError(f"{ptr}/kind", f"unknown feasible set kind {kind!r}")
 
 
@@ -264,9 +304,7 @@ def load_train_config(path) -> tuple[RunConfig, np.ndarray | None]:
     sched = _field(obj, "schedule", "")
     kind = _field(sched, "kind", "/schedule")
     alpha0 = _number(_field(sched, "alpha0", "/schedule"), "/schedule/alpha0")
-    max_iters = _field(obj, "max_iters", "")
-    if not isinstance(max_iters, int) or isinstance(max_iters, bool):
-        raise SchemaError("/max_iters", "expected an integer")
+    max_iters = _integer(_field(obj, "max_iters", ""), "/max_iters")
     target_eps = obj.get("target_eps")
     phi1 = obj.get("phi1")
     # Other keys, such as the retired "n_jobs", are ignored.
@@ -275,7 +313,7 @@ def load_train_config(path) -> tuple[RunConfig, np.ndarray | None]:
         max_iters=max_iters,
         target_eps=None if target_eps is None else _number(target_eps, "/target_eps"),
         tie_tol=_number(obj.get("tie_tol", 0.0), "/tie_tol"),
-        seed=int(obj.get("seed", 0)),
+        seed=_integer(obj.get("seed", 0), "/seed"),
     )
     return cfg, None if phi1 is None else _vector(phi1, "/phi1")
 
@@ -308,7 +346,7 @@ def load_ground_truth(path) -> tuple[np.ndarray, FeasibleSet | None]:
 def load_manifest(path) -> dict:
     obj = load_json(path)
     phi0, feasible = _ground_truth(obj)
-    out = {"phi0": phi0, "seed": int(_field(obj, "seed", ""))}
+    out = {"phi0": phi0, "seed": _integer(_field(obj, "seed", ""), "/seed")}
     if feasible is not None:
         out["feasible"] = feasible
     return out
@@ -395,7 +433,9 @@ def read_summary(path) -> dict:
     obj = load_json(path)
     return {
         "best_phi": _vector(_field(obj, "best_phi", ""), "/best_phi"),
-        "best_F": float(_field(obj, "best_F", "")),
-        "best_iteration": int(_field(obj, "best_iteration", "")),
-        "iters_run": int(_field(obj, "iters_run", "")),
+        "best_F": _number(_field(obj, "best_F", ""), "/best_F"),
+        "best_iteration": _integer(
+            _field(obj, "best_iteration", ""), "/best_iteration"
+        ),
+        "iters_run": _integer(_field(obj, "iters_run", ""), "/iters_run"),
     }

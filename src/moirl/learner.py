@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import Instance, TrajectorySet, as_weights, checked_decisions
 from .projection import contains, project
-from .solvers import pack, solve_packed
+from .solvers import solve_packed
 
 __all__ = [
     "StepSchedule",
@@ -99,8 +99,8 @@ def objective_value(phi, data, instances, tie_tol: float = 0.0) -> float:
 
 def subgradient(phi, data, instances, tie_tol: float = 0.0) -> np.ndarray:
     """A subgradient of the objective: mean solved action minus mean expert action."""
-    insts, expert = checked_decisions(data, instances)
-    return (solve_packed(phi, pack(insts), tie_tol) - expert).mean(axis=0)
+    store, expert = checked_decisions(data, instances)
+    return (solve_packed(phi, store, tie_tol) - expert).mean(axis=0)
 
 
 def train(
@@ -117,8 +117,7 @@ def train(
     objective and subgradient are logged, then the next iterate is the
     projection of the subgradient step back onto the feasible set.
     """
-    insts, expert = checked_decisions(data, instances)
-    store = pack(insts)
+    store, expert = checked_decisions(data, instances)
     d = store.dim
     if phi1 is None:
         phi = project(feasible, np.zeros(d))

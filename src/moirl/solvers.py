@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Instance, as_weights, make_instance
+from .domain import Instance, PackedInstances, as_weights, make_instance, pack
 
 __all__ = [
     "ArgmaxResult",
@@ -72,41 +72,6 @@ def solve(phi, inst: Instance, tie_tol: float = DEFAULT_TIE_TOL) -> ArgmaxResult
     scale = max(1.0, abs(best))
     tied = inst.actions[scores >= best - tie_tol * scale]
     return ArgmaxResult(optimal_value=best, optimal_set=tied, chosen=lex_min(tied))
-
-
-@dataclass(frozen=True, eq=False)
-class PackedInstances:
-    """A decision list's action sets stored end to end (CSR layout).
-
-    Segment ``i`` is ``actions[starts[i] : starts[i] + sizes[i]]``, the
-    canonical actions of the i-th instance.
-    """
-
-    actions: np.ndarray  # (total rows, d)
-    starts: np.ndarray  # (N,) first row of each segment
-    sizes: np.ndarray  # (N,) rows per segment, each >= 1
-
-    @property
-    def dim(self) -> int:
-        return self.actions.shape[1]
-
-
-def pack(insts: list[Instance]) -> PackedInstances:
-    """Pack instances, one segment each and in order, for ``solve_packed``.
-
-    A single instance is stored as its own actions array, not a copy.
-    """
-    dims = sorted({inst.dim for inst in insts})
-    if len(dims) != 1:
-        raise ValueError(f"instances have mixed dimensions {dims}")
-    sizes = np.array([inst.actions.shape[0] for inst in insts])
-    if len(insts) == 1:
-        actions = insts[0].actions
-    else:
-        actions = np.concatenate([inst.actions for inst in insts])
-    starts = np.zeros_like(sizes)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return PackedInstances(actions=actions, starts=starts, sizes=sizes)
 
 
 def solve_packed(

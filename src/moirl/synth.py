@@ -9,12 +9,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import Instance, Trajectory, TrajectorySet, make_instance
-from .io import SchemaError, _field, _matrix, _number, _vector
+from .domain import Instance, Trajectory, TrajectorySet, make_instance, pack
+from .io import SchemaError, _field, _integer, _matrix, _number, _vector
 from .solvers import (
     KnapsackSpec,
     knapsack_instance,
-    pack,
     polytope_vertex_instance,
     solve_packed,
 )
@@ -55,6 +54,8 @@ def instances_from_spec(obj, seed: int = 0) -> dict[str, Instance]:
     polytope entries and/or a ``random`` block generating explicit
     integer instances from the given seed.
     """
+    if not isinstance(obj, dict):
+        raise SchemaError("", "expected an object")
     out: dict[str, Instance] = {}
     entries = obj.get("instances", [])
     if not isinstance(entries, list):
@@ -90,11 +91,11 @@ def instances_from_spec(obj, seed: int = 0) -> dict[str, Instance]:
         rng = np.random.default_rng(seed)
         generated = random_instances(
             rng,
-            count=int(_field(rnd, "count", ptr)),
-            dim=int(_field(rnd, "dim", ptr)),
-            n_actions=int(_field(rnd, "n_actions", ptr)),
-            low=int(rnd.get("low", -10)),
-            high=int(rnd.get("high", 10)),
+            count=_integer(_field(rnd, "count", ptr), f"{ptr}/count"),
+            dim=_integer(_field(rnd, "dim", ptr), f"{ptr}/dim"),
+            n_actions=_integer(_field(rnd, "n_actions", ptr), f"{ptr}/n_actions"),
+            low=_integer(rnd.get("low", -10), f"{ptr}/low"),
+            high=_integer(rnd.get("high", 10), f"{ptr}/high"),
         )
         for iid, inst in generated.items():
             if iid in out:

@@ -14,7 +14,6 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "w1_exact",
     "linear_dual_lower_bound",
-    "projection_feature_lipschitz",
 ]
 
 
@@ -57,11 +56,3 @@ def linear_dual_lower_bound(mu, nu, f_lip: float = 1.0) -> float:
         raise ValueError("Lipschitz constant must be positive")
     return float(np.linalg.norm((a - b).mean(axis=0))) / f_lip
 
-
-def projection_feature_lipschitz() -> float:
-    """Lipschitz constant of the coordinate projection feature map.
-
-    Orthogonal projection is 1-Lipschitz and the ratio 1 is attained on
-    displacements inside the projected subspace.
-    """
-    return 1.0

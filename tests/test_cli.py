@@ -102,6 +102,21 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
         assert "/phi0" in err[0]
 
+    @pytest.mark.parametrize("problem, pointer", [
+        ([], "expected an object"),
+        ({"random": {"count": "3", "dim": 2, "n_actions": 4}}, "/random/count"),
+        ({"random": {"count": 3, "dim": 2, "n_actions": 4, "low": None}},
+         "/random/low"),
+    ], ids=["array", "string-count", "null-low"])
+    def test_bad_problem_spec_exits_2(self, fixture_files, capsys, problem, pointer):
+        tmp_path, spec, phi0, *_ = fixture_files
+        write_json(spec, problem)
+        code = main(["generate", str(spec), str(phi0), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+        assert pointer in err[0]
+
 
 class TestTrain:
     def test_fixture_run_reaches_budget(self, fixture_files):
@@ -198,6 +213,49 @@ class TestTrain:
                      str(config), "--out", str(tmp_path / "r")])
         assert code == 4
         assert capsys.readouterr().err.startswith("error:IO:")
+
+    def test_null_seed_exits_2(self, fixture_files, capsys):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        write_json(config, {**json.loads(config.read_text()), "seed": None})
+        capsys.readouterr()
+        code = main(["train", str(data_dir), str(feasible), str(config),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+        assert "/seed" in err[0]
+
+
+class TestExitCodes:
+    """Malformed JSON is a validation error (2); a file that cannot be
+    read is an I/O error (4)."""
+
+    @pytest.mark.parametrize("text", ['{"schedule": ', "[1, 2", "\ufeff{}", "{'a': 1}"],
+                             ids=["truncated", "unclosed", "bom", "single-quotes"])
+    def test_malformed_json_exits_2(self, fixture_files, capsys, text):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        config.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = main(["train", str(data_dir), str(feasible), str(config),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    def test_unreadable_file_exits_4(self, fixture_files, capsys, unreadable):
+        tmp_path, spec, phi0, *_ = fixture_files
+        spec.unlink()
+        if unreadable == "directory":
+            spec.mkdir()
+        code = main(["generate", str(spec), str(phi0), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error:IO:")
 
 
 class TestWasserstein:

@@ -9,7 +9,9 @@ from moirl.domain import (
     Trajectory,
     TrajectorySet,
     canonical_actions,
+    checked_decisions,
     make_instance,
+    pack,
     validate,
 )
 
@@ -43,6 +45,88 @@ class TestValidate:
         out = validate(ts(("a", [0.0])), {"a": inst})
         assert len(out) == 1
         assert "dimension" in out[0]
+
+
+def validate_loop(ts, instances):
+    """The per-trajectory check, the reference for ``validate``."""
+    violations = []
+    for n, traj in enumerate(ts):
+        inst = instances.get(traj.instance_id)
+        if inst is None:
+            violations.append(
+                f"trajectory {n}: unknown instance id {traj.instance_id!r}"
+            )
+            continue
+        if traj.action.shape[0] != inst.dim:
+            violations.append(
+                f"trajectory {n}: action dimension {traj.action.shape[0]} "
+                f"!= instance dimension {inst.dim}"
+            )
+            continue
+        if not np.any(np.all(inst.actions == traj.action, axis=1)):
+            violations.append(
+                f"trajectory {n}: action {traj.action.tolist()} is not in the "
+                f"action set of instance {traj.instance_id!r}"
+            )
+    return violations
+
+
+SMALL = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 0.5])
+
+
+@st.composite
+def decision_data(draw):
+    """Instances of mixed dimension and trajectories that hit and miss them:
+    unknown ids, wrong dimensions, absent actions and matches up to the
+    sign of a zero."""
+    instances = {}
+    for iid in draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4)):
+        d = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(SMALL, min_size=d, max_size=d),
+                             min_size=1, max_size=6))
+        instances[iid] = make_instance(iid, rows)
+    trajs = []
+    for _ in range(draw(st.integers(1, 12))):
+        iid = draw(st.sampled_from("abcde"))
+        inst = instances.get(iid)
+        if inst is not None and draw(st.booleans()):
+            action = inst.actions[draw(st.integers(0, inst.actions.shape[0] - 1))]
+            action = np.where(action == 0, draw(SMALL) * 0, action)  # any zero sign
+        else:
+            d = draw(st.integers(1, 3))
+            action = draw(st.lists(SMALL, min_size=d, max_size=d))
+        trajs.append(Trajectory(iid, np.array(action, dtype=float)))
+    return TrajectorySet(trajectories=tuple(trajs)), instances
+
+
+class TestPackedValidation:
+    @given(decision_data())
+    def test_validate_matches_per_trajectory_loop(self, case):
+        data, instances = case
+        assert validate(data, instances) == validate_loop(data, instances)
+
+    @given(decision_data())
+    def test_checked_decisions_returns_the_packed_decisions(self, case):
+        data, instances = case
+        insts = [instances.get(t.instance_id) for t in data]
+        if validate_loop(data, instances):
+            with pytest.raises(ValueError, match="invalid trajectory data"):
+                checked_decisions(data, instances)
+        elif len({inst.dim for inst in insts}) > 1:
+            with pytest.raises(ValueError, match="mixed dimensions"):
+                checked_decisions(data, instances)
+        else:
+            store, expert = checked_decisions(data, instances)
+            want = pack(insts)
+            assert store.actions.tobytes() == want.actions.tobytes()
+            assert np.array_equal(store.starts, want.starts)
+            assert np.array_equal(store.sizes, want.sizes)
+            assert expert.tobytes() == np.stack([t.action for t in data]).tobytes()
+
+    def test_one_instance_store_is_its_actions(self):
+        inst = make_instance("a", [[0.0, 1.0], [2.0, 3.0]])
+        store, _ = checked_decisions(ts(("a", [2.0, 3.0])), {"a": inst})
+        assert store.actions is inst.actions
 
 
 class TestCanonicalActions:
@@ -102,6 +186,21 @@ class TestCanonicalActions:
         # Flip the sign of some zeros, so that equal rows can differ in bits.
         flip = (arr == 0) & (np.random.default_rng(seed).random(arr.shape) < 0.5)
         arr[flip] = -arr[flip]
+        want = np.unique(arr, axis=0)
+        got = canonical_actions(arr)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+    @given(st.integers(1, 200), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_np_unique_past_insertion_sort(self, n, d, negzero, seed):
+        """Up to 200 rows, past the 16-element cutoff below which numpy's
+        sort is an insertion sort, with and without a ``-0.0``."""
+        rng = np.random.default_rng(seed)
+        arr = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0], size=(n, d))
+        if negzero:
+            arr[(arr == 0) & (rng.random(arr.shape) < 0.5)] = -0.0
         want = np.unique(arr, axis=0)
         got = canonical_actions(arr)
         assert got.shape == want.shape

@@ -8,6 +8,7 @@ from moirl.guarantees import (
     corollary_check,
     equivalence_check,
     reward_gap_report,
+    verify_run,
 )
 from moirl.learner import RunConfig, StepSchedule, objective_value, train
 from moirl.synth import expert_trajectories, random_instances
@@ -106,30 +107,31 @@ class TestEquivalenceCheck:
         assert w1_exact(pts, pts.copy()) == 0.0
 
 
-class TestCorollaryCheck:
-    def _trained(self, seed=20):
-        instances, data, phi0, _ = random_problem(seed=seed, count=4, n_actions=10)
-        fs = Ball(center=np.zeros(2), radius=1.0)
-        cfg = RunConfig(schedule=StepSchedule("inverse_sqrt", 0.5),
-                        max_iters=5000, tie_tol=0.0)
-        log = train(data, instances, fs, phi1=np.array([0.0, -1.0]), cfg=cfg)
-        return log, phi0, data, instances
+def trained_run(seed=20):
+    instances, data, phi0, _ = random_problem(seed=seed, count=4, n_actions=10)
+    fs = Ball(center=np.zeros(2), radius=1.0)
+    cfg = RunConfig(schedule=StepSchedule("inverse_sqrt", 0.5),
+                    max_iters=5000, tie_tol=0.0)
+    log = train(data, instances, fs, phi1=np.array([0.0, -1.0]), cfg=cfg)
+    return log, phi0, data, instances
 
+
+class TestCorollaryCheck:
     def test_huge_eps_hits_first_iteration(self):
-        log, phi0, data, instances = self._trained()
+        log, phi0, data, instances = trained_run()
         assert corollary_check(log, phi0, data, instances, eps=1e9) == 1
 
     def test_zero_eps_is_absent(self):
-        log, phi0, data, instances = self._trained()
+        log, phi0, data, instances = trained_run()
         assert corollary_check(log, phi0, data, instances, eps=0.0) is None
 
     def test_reaches_budget_within_run(self):
-        log, phi0, data, instances = self._trained()
+        log, phi0, data, instances = trained_run()
         k = corollary_check(log, phi0, data, instances, eps=1e-2)
         assert k is not None and k <= 5000
 
     def test_unreachable_eps_is_absent(self):
-        log, phi0, data, instances = self._trained()
+        log, phi0, data, instances = trained_run()
         positive = log.objectives[log.objectives > 0]
         if positive.size == 0:
             pytest.skip("run reached exact zero everywhere")
@@ -137,3 +139,23 @@ class TestCorollaryCheck:
         if log.best_objective == 0.0:
             pytest.skip("run hit exact zero; any eps > 0 is reached")
         assert corollary_check(log, phi0, data, instances, eps=tiny) is None
+
+
+class TestVerifyRun:
+    """``verify_run`` against the three checks called one by one."""
+
+    @pytest.mark.parametrize("eps", [1e9, 1e-2, 0.0, 1e-300])
+    def test_matches_the_separate_checks(self, eps):
+        log, phi0, data, instances = trained_run()
+        for phi in (log.best_weights, log.weights[0], np.array([0.3, -0.1])):
+            report, k, equiv = verify_run(log, phi, phi0, data, instances, eps)
+            want = reward_gap_report(phi, phi0, data, instances, tie_tol=0.0)
+            assert report.gaps.tobytes() == want.gaps.tobytes()
+            assert (report.objective, report.n) == (want.objective, want.n)
+            assert k == corollary_check(log, phi0, data, instances, eps)
+            assert equiv == equivalence_check(phi, phi0, data, instances)
+
+    def test_inconsistent_expert_raises_as_reward_gap_report(self):
+        log, phi0, data, instances = trained_run()
+        with pytest.raises(GuaranteeViolation, match="expert action"):
+            verify_run(log, log.best_weights, -phi0, data, instances, 1e-2)

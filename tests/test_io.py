@@ -100,11 +100,34 @@ def instance_maps(draw):
     return out
 
 
+@st.composite
+def shared_value_maps(draw):
+    """Many instances of mixed dimension over a small pool of numbers, so
+    that most values, ``0.0`` and ``-0.0`` among them, recur across the
+    file."""
+    pool = draw(st.lists(NUMBERS, min_size=1, max_size=6)) + [0.0, -0.0]
+    out = {}
+    for i in range(draw(st.integers(1, 30))):
+        d = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=d, max_size=d),
+                             min_size=1, max_size=8))
+        state = draw(st.sampled_from([None, f"s{i}", 1.5, [i, {"k": None}]]))
+        out[f"i{i}"] = make_instance(f"i{i}", rows, state=state)
+    return out
+
+
 class TestSaveInstancesLayout:
     @given(instance_maps())
     @settings(max_examples=150)
     def test_bytes_equal_json_dump(self, tmp_path_factory, instances):
         p = tmp_path_factory.mktemp("layout") / "instances.json"
+        mio.save_instances(instances, p)
+        assert p.read_bytes() == json_dump_bytes(instances)
+
+    @given(shared_value_maps())
+    @settings(max_examples=100)
+    def test_shared_values_bytes_equal_json_dump(self, tmp_path_factory, instances):
+        p = tmp_path_factory.mktemp("shared") / "instances.json"
         mio.save_instances(instances, p)
         assert p.read_bytes() == json_dump_bytes(instances)
 
@@ -332,6 +355,17 @@ class TestRunLog:
         assert back["best_F"] == log.best_objective
         assert back["iters_run"] == log.iters_run
 
+    @pytest.mark.parametrize("key, value", [
+        ("best_F", "0.5"), ("best_F", None), ("best_iteration", 2.0),
+        ("iters_run", None), ("iters_run", False),
+    ])
+    def test_summary_bad_field_named(self, tmp_path, key, value):
+        p = tmp_path / "summary.json"
+        mio.write_summary(make_log(), p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), key: value}))
+        with pytest.raises(mio.SchemaError, match=f"/{key}"):
+            mio.read_summary(p)
+
 
 class TestTrainConfig:
     def test_phi1_read_with_the_run_config(self, tmp_path):
@@ -347,6 +381,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("tie_tol", None), ("target_eps", "x"), ("phi1", [1.0, True]),
+        ("seed", None), ("seed", 1.5), ("seed", True), ("max_iters", "3"),
     ])
     def test_bad_field_named(self, tmp_path, key, value):
         p = tmp_path / "cfg.json"
@@ -368,3 +403,10 @@ class TestManifest:
         assert np.array_equal(back["phi0"], np.array([0.6, -0.8]))
         assert back["seed"] == 42
         assert back["feasible"] == fs
+
+    @pytest.mark.parametrize("seed", [None, "42", 4.2])
+    def test_bad_seed_named(self, tmp_path, seed):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({"phi0": [1.0], "seed": seed}))
+        with pytest.raises(mio.SchemaError, match="/seed"):
+            mio.load_manifest(p)

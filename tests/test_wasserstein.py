@@ -3,11 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from moirl.wasserstein import (
-    linear_dual_lower_bound,
-    projection_feature_lipschitz,
-    w1_exact,
-)
+from moirl.wasserstein import linear_dual_lower_bound, w1_exact
 
 
 def brute_w1(mu, nu):
@@ -90,6 +86,3 @@ class TestLinearDualLowerBound:
         with pytest.raises(ValueError):
             linear_dual_lower_bound([[0.0]], [[1.0]], f_lip=0.0)
 
-
-def test_projection_feature_is_one_lipschitz():
-    assert projection_feature_lipschitz() == 1.0
