@@ -165,66 +165,36 @@ def load_instances(path) -> dict[str, Instance]:
     return out
 
 
-# The text before and after a coordinate, by its place in its row: 1 marks
-# the first coordinate, 2 the last and 3 both (a row of one).
-_PLACES = [
-    (",\n        ", ""),
-    ("\n      [\n        ", ""),
-    (",\n        ", "\n      ],"),
-    ("\n      [\n        ", "\n      ],"),
-]
-
-
-def _coordinate_text(insts: list[Instance]) -> list[str]:
-    """Each action coordinate's text in ``json.dump(indent=2)``'s layout, in
-    file order: its ``repr`` after the comma, line break and indent that
-    precede it, where it starts a row with the row's opening bracket
-    instead of the comma, and where it ends a row followed by the closing
-    bracket and a comma.  ``repr`` runs once per distinct bit pattern in
-    the file (``0.0`` and ``-0.0`` differ)."""
-    bits = np.concatenate([inst.actions.ravel() for inst in insts]).view(np.uint64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    index *= len(_PLACES)
-    widths = np.repeat([inst.dim for inst in insts], [len(i.actions) for i in insts])
-    ends = np.cumsum(widths)  # one past each row's last coordinate
-    index[ends - widths] += 1
-    index[ends - 1] += 2
-    table = [
-        pre + text + post
-        for text in map(repr, distinct.view(float).tolist())
-        for pre, post in _PLACES
-    ]
-    return np.array(table, dtype=object)[index].tolist()
-
-
 def save_instances(instances: Mapping[str, Instance], path) -> None:
     """Write instances in ``json.dump(..., indent=2)``'s layout, plus a newline.
 
-    Only each instance's ``id`` and ``state`` go through ``json``, and
-    only a container state through its pure-Python indenting encoder.
-    The actions are written from ``_coordinate_text``, which formats one
-    ``repr`` per distinct float in the file, as ``json`` writes a float.
+    Only each instance's ``id`` and ``state`` go through ``json``.  Its
+    actions are written with one ``%s`` format over the text of all of
+    their numbers.  That text is each number's ``repr``, as ``json``
+    writes a float, taken once per distinct bit pattern in the file
+    (``0.0`` and ``-0.0`` differ) from one ``np.unique`` over all the
+    coordinates.
     """
     insts = list(instances.values())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if not insts:
             fh.write("[]\n")
             return
-        text = _coordinate_text(insts)
+        bits = np.concatenate([inst.actions.ravel() for inst in insts]).view(np.uint64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+        del bits, distinct
         sep, end = "[\n  {\n", 0
         for inst in insts:
-            state = inst.state
-            if isinstance(state, (dict, list, tuple)):
-                # json escapes newlines inside strings, so every "\n"
-                # here starts a line, and indenting it nests the value.
-                state = json.dumps(state, indent=2).replace("\n", "\n    ")
-            else:  # indent changes nothing else, and the C encoder is faster
-                state = json.dumps(state)
+            # json escapes newlines inside strings, so every "\n" here
+            # starts a line, and indenting it nests the value.
+            state = json.dumps(inst.state, indent=2).replace("\n", "\n    ")
             fh.write(f'{sep}    "id": {json.dumps(inst.id)},\n    "state": {state},\n')
-            start, end = end, end + inst.actions.size
-            fh.write('    "actions": [')
-            fh.write("".join(text[start : end - 1]))
-            fh.write(text[end - 1][:-1])  # the last row ends without a comma
+            n, d = inst.actions.shape
+            row = "      [\n" + ",\n".join(["        %s"] * d) + "\n      ]"
+            start, end = end, end + n * d
+            fh.write('    "actions": [\n')
+            fh.write(",\n".join([row] * n) % tuple(texts[index[start:end]]))
             fh.write("\n    ]\n  }")
             sep = ",\n  {\n"
         fh.write("\n]\n")

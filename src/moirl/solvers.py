@@ -1,7 +1,7 @@
 """Forward solvers: maximize a scalarized linear objective over a finite
 action set, breaking ties by taking the lexicographically smallest
 maximizer.  ``solve`` handles one instance; ``solve_packed`` handles a
-whole decision list packed once by ``pack``.  Also instance generators
+whole decision list packed once by ``domain.pack``.  Also instance generators
 for explicit sets, 0/1 knapsacks, and polytope vertex lists.
 """
 
@@ -11,14 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Instance, PackedInstances, as_weights, make_instance, pack
+from .domain import Instance, PackedInstances, as_weights, make_instance
 
 __all__ = [
     "ArgmaxResult",
     "KnapsackSpec",
-    "PackedInstances",
     "lex_min",
-    "pack",
     "solve",
     "solve_packed",
     "knapsack_instance",

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from moirl.domain import Instance, canonical_actions, make_instance
+from moirl.domain import (
+    Instance,
+    PackedInstances,
+    canonical_actions,
+    make_instance,
+    pack,
+)
 from moirl.solvers import (
     KnapsackSpec,
-    PackedInstances,
     knapsack_instance,
     lex_min,
-    pack,
     polytope_vertex_instance,
     solve,
     solve_packed,
