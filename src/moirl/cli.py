@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .guarantees import GuaranteeViolation, reward_gap_report, verify_run
-from .learner import train
+from .domain import checked_decisions
+from .guarantees import GuaranteeViolation, reward_gap_report_packed, verify_run
+from .learner import train_packed
 from .projection import contains
 from .synth import expert_trajectories, instances_from_spec
 from .wasserstein import linear_dual_lower_bound, w1_exact
@@ -62,7 +63,8 @@ def cmd_train(args) -> int:
     cfg, phi1 = mio.load_train_config(args.config)
     if args.tie_tol is not None:
         cfg = dataclasses.replace(cfg, tie_tol=args.tie_tol)
-    log = train(data, instances, feasible, phi1=phi1, cfg=cfg)
+    store, expert = checked_decisions(data, instances)
+    log = train_packed(store, expert, feasible, phi1=phi1, cfg=cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,8 +74,8 @@ def cmd_train(args) -> int:
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
         manifest = mio.load_manifest(manifest_path)
-        report = reward_gap_report(
-            log.best_weights, manifest["phi0"], data, instances, tie_tol=cfg.tie_tol
+        report = reward_gap_report_packed(
+            log.best_weights, manifest["phi0"], store, expert, tie_tol=cfg.tie_tol
         )
         with open(out / "gap_report.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump({"gaps": report.gaps.tolist(), "F": report.objective}, fh, indent=2)
@@ -98,6 +100,8 @@ def cmd_wasserstein(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.eps < np.inf:
+        raise ValueError(f"--eps must be finite and positive, got {args.eps!r}")
     data_dir = Path(args.data_dir)
     run_dir = Path(args.run_dir)
     instances = mio.load_instances(data_dir / "instances.json")

@@ -22,6 +22,7 @@ __all__ = [
     "Simplex",
     "FeasibleSet",
     "make_instance",
+    "make_instances",
     "canonical_actions",
     "as_weights",
     "validate",
@@ -48,43 +49,74 @@ def canonical_actions(actions) -> np.ndarray:
 
     The canonical order makes serialization byte-stable and loading
     idempotent; duplicates are dropped with set semantics.  The result
-    has the bits of ``np.unique(actions, axis=0)``.  Rows that already
-    increase strictly, as in every file ``save_instances`` writes, are
-    copied as they are.  Other rows get one stable ``np.lexsort`` and
-    lose each row equal to the one before it.  Only an array holding a
-    ``-0.0`` still goes through ``np.unique``: where two rows differ only
-    in the sign of a zero, its unstable sort decides which one is kept.
+    has the bits of ``np.unique(actions, axis=0)``: it is the
+    one-segment case of ``make_instances``' canonicalisation, and never
+    ``actions`` itself.
     """
     arr = np.asarray(actions, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("actions must be a nonempty list of equal-length vectors")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("action vectors must be finite")
-    if _strictly_increasing(arr):
-        arr = arr.copy()
-    elif np.any(np.signbit(arr[arr == 0])):
-        arr = np.unique(arr, axis=0)
-    else:
-        # np.lexsort keys are compared last-first, so feed columns reversed.
-        arr = arr[np.lexsort(arr.T[::-1])]
-        keep = np.empty(arr.shape[0], dtype=bool)
-        keep[0] = True
-        np.any(arr[1:] != arr[:-1], axis=1, out=keep[1:])
-        arr = arr[keep]
-    arr.setflags(write=False)
-    return arr
+    out, _ = _canonical_segments(arr, np.array(arr.shape[:1]))
+    if out is arr:
+        out = arr.copy()
+    out.setflags(write=False)
+    return out
 
 
-def _strictly_increasing(arr: np.ndarray) -> bool:
-    """Whether each row is lexicographically greater than the one before.
+def _canonical_segments(arr: np.ndarray, sizes: np.ndarray):
+    """Canonicalise each segment of ``arr`` (runs of ``sizes`` rows, end to
+    end); returns the result, ``arr`` itself when every segment is
+    canonical already, and the new segment sizes.
 
-    Compares with ``<``, as ``np.unique``'s sort does, so ``-0.0`` and
-    ``0.0`` are equal.
+    One strictly-increasing test runs over all row pairs, pairs that
+    cross a segment boundary masked out.  It compares with ``<``, as
+    ``np.unique``'s sort does, so ``-0.0`` and ``0.0`` are equal.  The
+    rows of the other segments get one stable ``np.lexsort`` keyed by
+    (segment, columns) and lose each row equal to the one before it in
+    their segment.  Only a segment holding a ``-0.0`` still goes through
+    ``np.unique``: where two rows differ only in the sign of a zero, its
+    unstable sort decides which one is kept.
     """
+    if arr.ndim != 2 or arr.shape[1] < 1 or np.any(sizes < 1):
+        raise ValueError("actions must be a nonempty list of equal-length vectors")
+    if not np.isfinite(arr).all():
+        raise ValueError("action vectors must be finite")
+    starts = np.cumsum(sizes) - sizes
+    # Whether each row is lexicographically greater than the one before,
+    # built up from the last column, one column at a time.
     prev, nxt = arr[:-1], arr[1:]
-    first = (prev != nxt).argmax(axis=1)  # first differing column of each pair
-    rows = np.arange(first.size)
-    return bool(np.all(prev[rows, first] < nxt[rows, first]))
+    increasing = prev[:, -1] < nxt[:, -1]
+    for j in range(arr.shape[1] - 2, -1, -1):
+        increasing = (prev[:, j] < nxt[:, j]) | ((prev[:, j] == nxt[:, j]) & increasing)
+    increasing[starts[1:] - 1] = True
+    if increasing.all():
+        return arr, sizes
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    bad = np.zeros(sizes.size, dtype=bool)
+    bad[seg[:-1][~increasing]] = True
+    negzero = np.zeros_like(bad)
+    zero_rows, zero_cols = np.nonzero(arr == 0)
+    negzero[seg[zero_rows[np.signbit(arr[zero_rows, zero_cols])]]] = True
+    # Sorted rows stay in their segment's range.  np.lexsort keys are
+    # compared last-first: segment (when there are several), then columns.
+    rows = np.flatnonzero((bad & ~negzero)[seg])
+    sub = arr if rows.size == len(arr) else arr[rows]
+    keys = (*sub.T[::-1], seg[rows]) if sizes.size > 1 else sub.T[::-1]
+    take = np.arange(len(arr))
+    take[rows] = rows[np.lexsort(keys)]
+    drop = np.ones(len(arr), dtype=bool)  # equal to the row before it
+    for col in arr.T:
+        ordered = col[take]
+        drop[1:] &= ordered[1:] == ordered[:-1]
+    drop[starts] = False
+    uniq = {i: np.unique(arr[starts[i] : starts[i] + sizes[i]], axis=0)
+            for i in np.flatnonzero(bad & negzero)}
+    for i, u in uniq.items():
+        drop[starts[i] : starts[i] + sizes[i]] = np.arange(sizes[i]) >= len(u)
+    out = arr[take[~drop]]
+    sizes = sizes - np.bincount(seg[drop], minlength=sizes.size)
+    starts = np.cumsum(sizes) - sizes
+    for i, u in uniq.items():
+        out[starts[i] : starts[i] + sizes[i]] = u
+    return out, sizes
 
 
 @dataclass(frozen=True)
@@ -108,6 +140,37 @@ class Instance:
 
 def make_instance(id: str, actions, state: Any = None) -> Instance:
     return Instance(id=id, actions=actions, state=state)
+
+
+def make_instances(ids, actions, sizes, states=None) -> list[Instance]:
+    """One instance per id, in order: instance ``i`` holds the canonical
+    form of the next ``sizes[i]`` rows of the (rows, d) ``actions``.
+
+    All segments are checked and sorted together, as ``canonical_actions``
+    sorts one.  The instances hold read-only views of one array; that is
+    ``actions`` itself, made read-only, when it is a float array whose
+    segments are all canonical already.
+    """
+    arr, sizes = _canonical_segments(
+        np.asarray(actions, dtype=float), np.asarray(sizes, dtype=np.intp)
+    )
+    arr.setflags(write=False)
+    ends = np.cumsum(sizes).tolist()
+    if states is None:
+        states = [None] * len(ends)
+    return [
+        _instance(iid, arr[end - n : end], state)
+        for iid, n, end, state in zip(ids, sizes.tolist(), ends, states, strict=True)
+    ]
+
+
+def _instance(id: str, actions: np.ndarray, state: Any) -> Instance:
+    """An ``Instance`` on actions already canonical and read-only."""
+    inst = object.__new__(Instance)
+    object.__setattr__(inst, "id", id)
+    object.__setattr__(inst, "actions", actions)
+    object.__setattr__(inst, "state", state)
+    return inst
 
 
 @dataclass(frozen=True)

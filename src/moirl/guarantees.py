@@ -30,6 +30,7 @@ __all__ = [
     "GapReport",
     "EquivalenceReport",
     "reward_gap_report",
+    "reward_gap_report_packed",
     "equivalence_check",
     "corollary_check",
     "verify_run",
@@ -43,13 +44,9 @@ class GuaranteeViolation(AssertionError):
     """A guarantee that should hold on well-formed data failed."""
 
 
-def _check_expert_consistent(
-    phi0, data, instances
-) -> tuple[PackedInstances, np.ndarray, np.ndarray]:
-    """The packed decision instances, the expert actions and the exact
-    solver's actions under ``phi0``, after checking that the latter
+def _expert_truth(phi0, store: PackedInstances, expert) -> np.ndarray:
+    """The exact solver's actions under ``phi0``, after checking that they
     reproduce every expert action."""
-    store, expert = checked_decisions(data, instances)
     truth = solve_packed(phi0, store, tie_tol=0.0)
     wrong = np.flatnonzero(np.any(truth != expert, axis=1))
     if wrong.size:
@@ -59,7 +56,7 @@ def _check_expert_consistent(
             f"ground-truth weights: got {expert[n].tolist()}, "
             f"solver returns {truth[n].tolist()}"
         )
-    return store, expert, truth
+    return truth
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,16 @@ def reward_gap_report(
     ``phi0``; each gap is nonnegative and their mean is the training
     objective at ``phi``.
     """
-    store, expert, _ = _check_expert_consistent(phi0, data, instances)
+    store, expert = checked_decisions(data, instances)
+    return reward_gap_report_packed(phi, phi0, store, expert, tie_tol)
+
+
+def reward_gap_report_packed(
+    phi, phi0, store: PackedInstances, expert: np.ndarray, tie_tol: float = 0.0
+) -> GapReport:
+    """``reward_gap_report`` on the decisions that ``checked_decisions``
+    validated and packed."""
+    _expert_truth(phi0, store, expert)
     return _gap_report(phi, store, expert, tie_tol)
 
 
@@ -125,8 +131,8 @@ def equivalence_check(
     Runs with exact tie-breaking (tie_tol = 0); meaningful on instances
     whose scores are exact in floating point.
     """
-    store, _, truth = _check_expert_consistent(phi0, data, instances)
-    return _equivalence(phi, store, truth)
+    store, expert = checked_decisions(data, instances)
+    return _equivalence(phi, store, _expert_truth(phi0, store, expert))
 
 
 def _equivalence(phi, store: PackedInstances, truth) -> EquivalenceReport:
@@ -153,7 +159,8 @@ def corollary_check(
     """
     k = _first_below(log, eps)
     if k is not None:
-        store, expert, _ = _check_expert_consistent(phi0, data, instances)
+        store, expert = checked_decisions(data, instances)
+        _expert_truth(phi0, store, expert)
         _check_budget(log, k, eps, store, expert)
     return k
 
@@ -185,7 +192,8 @@ def verify_run(
     """``reward_gap_report`` (``tie_tol`` 0), ``corollary_check`` and
     ``equivalence_check`` at ``phi``, raising in that order, on one
     validated store and one exact solve under ``phi0``."""
-    store, expert, truth = _check_expert_consistent(phi0, data, instances)
+    store, expert = checked_decisions(data, instances)
+    truth = _expert_truth(phi0, store, expert)
     report = _gap_report(phi, store, expert, 0.0)
     k = _first_below(log, eps)
     if k is not None:

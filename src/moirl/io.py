@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping
@@ -24,6 +25,7 @@ from .domain import (
     Trajectory,
     TrajectorySet,
     make_instance,
+    make_instances,
 )
 from .learner import RunConfig, RunLog, StepSchedule
 
@@ -94,40 +96,47 @@ def _integer(x, ptr: str) -> int:
     return x
 
 
-def _floats(obj, elements) -> np.ndarray | None:
-    """``obj`` as a float array if each of its ``elements`` is an int or a float.
+def _rows(blocks: list) -> np.ndarray | None:
+    """The rows of ``blocks``, a list of lists of rows, end to end as a
+    (rows, d) float array if every row is a list of length d >= 1 whose
+    elements are all finite ints or floats.
 
-    Returns None when some element is of another type or too large for
-    a float; the caller's element-wise checks then name the culprit.
-    The caller also checks that the numbers are finite: json reads a
-    literal such as ``1e400`` as inf.  A sum is finite only if every term
-    is, and a finite sum is cheaper to check for than each term.
+    Returns None otherwise, also for an int too large for a float; the
+    caller's element-wise checks then name the culprit.  json reads a
+    literal such as ``1e400`` as inf.  The rows are chained afresh for
+    each pass, not gathered into one list.
     """
-    if set(map(type, elements)) <= _NUMBER_TYPES:
-        try:
-            return np.array(obj, dtype=float)
-        except OverflowError:
-            pass
-    return None
+    rows = partial(chain.from_iterable, blocks)
+    if set(map(type, rows())) != {list}:
+        return None
+    widths = set(map(len, rows()))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    if not set(map(type, chain.from_iterable(rows()))) <= _NUMBER_TYPES:
+        return None
+    n = sum(map(len, blocks))
+    try:
+        out = np.fromiter(chain.from_iterable(rows()), float, n * widths.pop())
+    except OverflowError:
+        return None
+    return out.reshape(n, -1) if np.isfinite(out).all() else None
 
 
 def _vector(obj, ptr: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(ptr, "expected a nonempty array of numbers")
-    out = _floats(obj, obj)
-    if out is None or not math.isfinite(sum(obj, 0.0)):
-        out = np.array([_number(x, f"{ptr}/{i}") for i, x in enumerate(obj)])
-    return out
+    out = _rows([[obj]])
+    if out is None:
+        return np.array([_number(x, f"{ptr}/{i}") for i, x in enumerate(obj)])
+    return out[0]
 
 
 def _matrix(obj, ptr: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(ptr, "expected a nonempty array of vectors")
-    # Fast path: a rectangular list of nonempty lists of numbers.
-    if set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1 and obj[0]:
-        out = _floats(obj, chain.from_iterable(obj))
-        if out is not None and math.isfinite(out.sum()):
-            return out
+    out = _rows([obj])
+    if out is not None:
+        return out
     rows = [_vector(row, f"{ptr}/{i}") for i, row in enumerate(obj)]
     width = len(rows[0])
     for i, row in enumerate(rows):
@@ -148,10 +157,57 @@ def _field(obj, key: str, ptr: str):
 
 # -- instances and trajectories ------------------------------------------------
 
+def _entries(data, key: str, value: str):
+    """The ``key`` strings and the ``value`` fields of a list of entry
+    objects, or None if some entry is not an object holding both or
+    some ``key`` is not a string."""
+    if set(map(type, data)) != {dict}:
+        return None
+    try:
+        keys = [entry[key] for entry in data]
+        values = [entry[value] for entry in data]
+    except KeyError:
+        return None
+    return (keys, values) if set(map(type, keys)) == {str} else None
+
+
+def _instance_table(data):
+    """The ids, packed actions, segment sizes and states of a list of
+    instance objects, or None unless the ids are unique strings and the
+    actions nonempty lists of rows of one width holding finite numbers."""
+    entries = _entries(data, "id", "actions")
+    if entries is None:
+        return None
+    ids, matrices = entries
+    unique = len(set(ids)) == len(ids)
+    if not (unique and set(map(type, matrices)) == {list} and all(matrices)):
+        return None
+    actions = _rows(matrices)
+    if actions is None:
+        return None
+    states = [entry.get("state") for entry in data]
+    return ids, actions, list(map(len, matrices)), states
+
+
 def load_instances(path) -> dict[str, Instance]:
+    """Read ``instances.json``.
+
+    A file of objects with unique string ids and actions that are
+    nonempty lists of rows of one width is converted and canonicalised
+    in whole-file array passes.  Any other file goes through the
+    per-entry checks, which load each valid entry alone or name the
+    first fault.
+    """
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of instance objects")
+    table = _instance_table(data)
+    if table is not None:
+        # Free the parsed file before the instances are built: objects that
+        # outlive this call, made among its many small objects, keep that
+        # memory from being returned, and repeated loads grew peak RSS.
+        del data
+        return dict(zip(table[0], make_instances(*table)))
     out: dict[str, Instance] = {}
     for i, entry in enumerate(data):
         ptr = f"/{i}"
@@ -204,6 +260,12 @@ def load_trajectories(path) -> TrajectorySet:
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of trajectory objects")
+    entries = _entries(data, "instance_id", "action")
+    actions = None if entries is None else _rows([entries[1]])
+    if actions is not None:
+        ids = entries[0]
+        del data, entries  # as in load_instances
+        return TrajectorySet(trajectories=tuple(map(Trajectory, ids, actions)))
     trajs = []
     for i, entry in enumerate(data):
         ptr = f"/{i}"

@@ -14,7 +14,13 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .domain import Instance, TrajectorySet, as_weights, checked_decisions
+from .domain import (
+    Instance,
+    PackedInstances,
+    TrajectorySet,
+    as_weights,
+    checked_decisions,
+)
 from .projection import contains, project
 from .solvers import solve_packed
 
@@ -25,6 +31,7 @@ __all__ = [
     "objective_value",
     "subgradient",
     "train",
+    "train_packed",
 ]
 
 
@@ -117,7 +124,17 @@ def train(
     objective and subgradient are logged, then the next iterate is the
     projection of the subgradient step back onto the feasible set.
     """
-    store, expert = checked_decisions(data, instances)
+    return train_packed(*checked_decisions(data, instances), feasible, phi1, cfg)
+
+
+def train_packed(
+    store: PackedInstances,
+    expert: np.ndarray,
+    feasible,
+    phi1=None,
+    cfg: RunConfig = RunConfig(),
+) -> RunLog:
+    """``train`` on the decisions that ``checked_decisions`` validated and packed."""
     d = store.dim
     if phi1 is None:
         phi = project(feasible, np.zeros(d))

@@ -9,7 +9,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import Instance, Trajectory, TrajectorySet, make_instance, pack
+from .domain import (
+    Instance,
+    Trajectory,
+    TrajectorySet,
+    make_instance,
+    make_instances,
+    pack,
+)
 from .io import SchemaError, _field, _integer, _matrix, _number, _vector
 from .solvers import (
     KnapsackSpec,
@@ -39,12 +46,13 @@ def random_instances(
     Integer coordinates keep solver scores exact in floating point for
     dyadic-rational weights, which the exact-equality checks rely on.
     """
-    out: dict[str, Instance] = {}
-    for i in range(count):
-        actions = rng.integers(low, high + 1, size=(n_actions, dim)).astype(float)
-        inst = make_instance(f"{prefix}-{i}", actions)
-        out[inst.id] = inst
-    return out
+    # One draw per instance: a single draw of all of them gives other numbers.
+    draws = [rng.integers(low, high + 1, size=(n_actions, dim)) for _ in range(count)]
+    if not draws:
+        return {}
+    ids = [f"{prefix}-{i}" for i in range(count)]
+    actions = np.concatenate(draws).astype(float)
+    return dict(zip(ids, make_instances(ids, actions, [n_actions] * count)))
 
 
 def instances_from_spec(obj, seed: int = 0) -> dict[str, Instance]:

@@ -1,8 +1,15 @@
+import io
 import json
 import re
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import mutated_entries
+from hypothesis import given, settings, strategies as st
 
 from moirl.cli import main
 
@@ -304,6 +311,17 @@ class TestVerify:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+    def test_eps_must_be_finite_and_positive(self, fixture_files, capsys, eps):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        capsys.readouterr()
+        code = main(["verify", str(data_dir), str(run_dir), "--eps", eps])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+        assert not (run_dir / "verify_report.json").exists()
+
     def test_tampered_expert_file(self, fixture_files, capsys):
         tmp_path, spec, phi0, feasible, config = fixture_files
         data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
@@ -335,3 +353,54 @@ class TestVerify:
         code = main(["verify", str(data_dir), str(run_dir), "--eps", "1e-12"])
         assert code == 3
         assert "eps not reached" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A generated data set and a short training run on it."""
+    base = tmp_path_factory.mktemp("fuzz")
+    spec, phi0, feasible, config = (base / name for name in (
+        "problem.json", "phi0.json", "feasible.json", "config.json"))
+    write_json(spec, {"random": {"count": 4, "dim": 2, "n_actions": 4}})
+    write_json(phi0, {"phi0": [0.5, -0.75]})
+    write_json(feasible, {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0})
+    write_json(config, {"schedule": {"kind": "inverse_sqrt", "alpha0": 0.5},
+                        "max_iters": 20})
+    with redirect_stdout(io.StringIO()):
+        assert main(["generate", str(spec), str(phi0),
+                     "--out", str(base / "data")]) == 0
+        assert main(["train", str(base / "data"), str(feasible), str(config),
+                     "--out", str(base / "run")]) == 0
+    return base, feasible, config
+
+
+class TestFuzz:
+    """Mutated input files end in exit 0, 2, 3 or 4, and a failure prints
+    exactly one ``error:`` line on stderr."""
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_mutated_inputs_exit_cleanly(self, fuzz_base, data):
+        base, feasible, config = fuzz_base
+        name, id_key = data.draw(st.sampled_from(
+            [("instances.json", "id"), ("expert_trajectories.json", "instance_id")]))
+        command = data.draw(st.sampled_from(["train", "verify"]))
+        work = Path(tempfile.mkdtemp(dir=base))
+        shutil.copytree(base / "data", work / "data")
+        shutil.copytree(base / "run", work / "run")
+        entries = json.loads((base / "data" / name).read_text())
+        (work / "data" / name).write_text(
+            json.dumps(data.draw(mutated_entries(entries, id_key))))
+        if command == "train":
+            argv = ["train", work / "data", feasible, config, "--out", work / "run"]
+        else:
+            argv = ["verify", work / "data", work / "run", "--eps", "0.5"]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error:")
+        else:
+            assert lines == []

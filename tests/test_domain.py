@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from moirl.domain import (
     Ball,
@@ -11,6 +11,7 @@ from moirl.domain import (
     canonical_actions,
     checked_decisions,
     make_instance,
+    make_instances,
     pack,
     validate,
 )
@@ -205,6 +206,64 @@ class TestCanonicalActions:
         got = canonical_actions(arr)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def segment_lists(draw):
+    """Action sets of one width, each as drawn, reversed or already
+    canonical, over values with and without a ``-0.0``: duplicates,
+    one-row segments and mixed sizes."""
+    d = draw(st.integers(1, 3))
+    segs = []
+    for _ in range(draw(st.integers(1, 8))):
+        values = draw(st.sampled_from([[-1.0, 0.0, 0.5, 2.0], [-1.0, -0.0, 0.0, 2.0]]))
+        rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d),
+                             min_size=1, max_size=8))
+        arr = np.array(rows)
+        order = draw(st.sampled_from(["as drawn", "reversed", "canonical"]))
+        if order == "reversed":
+            arr = arr[::-1]
+        elif order == "canonical":
+            arr = np.unique(arr, axis=0)
+        segs.append(arr)
+    return segs
+
+
+class TestMakeInstances:
+    @given(segment_lists())
+    @settings(max_examples=150)
+    def test_bit_identical_to_canonical_actions_per_segment(self, segs):
+        ids = [f"s{i}" for i in range(len(segs))]
+        insts = make_instances(ids, np.concatenate(segs), [len(s) for s in segs],
+                               states=list(range(len(segs))))
+        assert [inst.id for inst in insts] == ids
+        assert [inst.state for inst in insts] == list(range(len(segs)))
+        for inst, seg in zip(insts, segs):
+            want = canonical_actions(seg)
+            assert inst.actions.shape == want.shape
+            assert inst.actions.tobytes() == want.tobytes()
+            assert not inst.actions.flags.writeable
+        assert len({id(inst.actions.base) for inst in insts}) == 1
+
+    def test_canonical_input_is_used_in_place(self):
+        actions = np.array([[0.0, 1.0], [2.0, -0.0], [-1.0, 5.0], [-0.0, 3.0]])
+        insts = make_instances(["a", "b"], actions, [2, 2])
+        assert all(inst.actions.base is actions for inst in insts)
+        assert not actions.flags.writeable
+        assert insts[0].state is None and insts[1].dim == 2
+
+    def test_no_instances(self):
+        assert make_instances([], np.empty((0, 3)), []) == []
+
+    @pytest.mark.parametrize("actions, sizes, message", [
+        ([[0.0], [1.0]], [2, 0], "nonempty"),
+        (np.empty((2, 0)), [1, 1], "nonempty"),
+        ([[0.0], [np.inf]], [1, 1], "finite"),
+    ])
+    def test_rejects_empty_and_nonfinite(self, actions, sizes, message):
+        ids = [str(i) for i in range(len(sizes))]
+        with pytest.raises(ValueError, match=message):
+            make_instances(ids, actions, sizes)
 
 
 class TestFeasibleSets:

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import mutated_entries, random_problem
 from hypothesis import given, settings, strategies as st
 
 from moirl import io as mio
@@ -266,6 +267,132 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(mio.SchemaError) as exc:
             mio.load_trajectories(p)
         assert "/0/action/1" in str(exc.value)
+
+
+def loop_load_instances(path):
+    """The per-entry loader, the reference for ``load_instances``."""
+    data = mio.load_json(path)
+    if not isinstance(data, list):
+        raise mio.SchemaError("", "expected an array of instance objects")
+    out = {}
+    for i, entry in enumerate(data):
+        ptr = f"/{i}"
+        iid = mio._field(entry, "id", ptr)
+        if not isinstance(iid, str):
+            raise mio.SchemaError(f"{ptr}/id", "expected a string")
+        if iid in out:
+            raise mio.SchemaError(f"{ptr}/id", f"duplicate instance id {iid!r}")
+        actions = mio._matrix(mio._field(entry, "actions", ptr), f"{ptr}/actions")
+        out[iid] = make_instance(iid, actions, state=entry.get("state"))
+    return out
+
+
+def loop_load_trajectories(path):
+    """The per-entry loader, the reference for ``load_trajectories``."""
+    data = mio.load_json(path)
+    if not isinstance(data, list):
+        raise mio.SchemaError("", "expected an array of trajectory objects")
+    trajs = []
+    for i, entry in enumerate(data):
+        ptr = f"/{i}"
+        iid = mio._field(entry, "instance_id", ptr)
+        if not isinstance(iid, str):
+            raise mio.SchemaError(f"{ptr}/instance_id", "expected a string")
+        action = mio._vector(mio._field(entry, "action", ptr), f"{ptr}/action")
+        trajs.append(Trajectory(instance_id=iid, action=action))
+    if not trajs:
+        raise mio.SchemaError("", "trajectory file must contain at least one entry")
+    return TrajectorySet(trajectories=tuple(trajs))
+
+
+FILE_NUMBERS = st.one_of(
+    st.sampled_from([-2, 0, 3, -0.0, 0.0, 0.5, 1.0, 2**53 + 1, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def instance_files(draw):
+    d = draw(st.integers(1, 3))
+    rows = st.lists(st.lists(FILE_NUMBERS, min_size=d, max_size=d),
+                    min_size=1, max_size=5)
+    states = st.sampled_from([None, "s", [1, None], {"k": 2.5}])
+    entries = [{"id": f"i{i}", "state": draw(states), "actions": draw(rows)}
+               for i in range(draw(st.integers(1, 5)))]
+    return draw(mutated_entries(entries, "id"))
+
+
+@st.composite
+def trajectory_files(draw):
+    d = draw(st.integers(1, 3))
+    action = st.lists(FILE_NUMBERS, min_size=d, max_size=d)
+    entries = [{"instance_id": f"i{i % 3}", "action": draw(action)}
+               for i in range(draw(st.integers(1, 5)))]
+    return draw(mutated_entries(entries, "instance_id"))
+
+
+def loaded(load, path):
+    """What ``load`` returns, in comparable bytes, or its error."""
+    try:
+        out = load(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, TrajectorySet):
+        return [(t.instance_id, t.action.shape, t.action.tobytes()) for t in out]
+    return [(iid, inst.id, inst.actions.shape, inst.actions.tobytes(), inst.state)
+            for iid, inst in out.items()]
+
+
+class TestWholeFileLoad:
+    """The whole-file array pass against the per-entry loop, on files
+    that hold every kind of fault the loop can name."""
+
+    @given(instance_files())
+    @settings(max_examples=150)
+    def test_instances_agree_with_per_entry_loop(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("inst") / "instances.json"
+        p.write_text(json.dumps(data))
+        assert loaded(mio.load_instances, p) == loaded(loop_load_instances, p)
+
+    @given(trajectory_files())
+    @settings(max_examples=100)
+    def test_trajectories_agree_with_per_entry_loop(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("traj") / "expert_trajectories.json"
+        p.write_text(json.dumps(data))
+        assert loaded(mio.load_trajectories, p) == loaded(loop_load_trajectories, p)
+
+    @pytest.mark.parametrize("data", [
+        [],
+        [{"id": "a", "actions": [[1.0]]}, {"id": "b", "actions": []}],
+        [{"id": "a", "actions": [[1.0]]}, {"id": "b", "actions": [[2.0, 3.0]]}],
+        [{"id": "a", "actions": [[1.0]]}, {"id": "a", "actions": [[2.0]]}],
+        [{"id": "a", "actions": [[2**70, 0.0], [2**53 + 1, -0.0], [1, 2]]}],
+        [{"id": "a", "actions": [[0.0, 1.0], [-0.0, 1.0], [-1.0, 2.0]]}],
+        [{"id": "a", "actions": [[1.5e308], [1.5e308]], "state": {"s": [1]}}],
+        [{"id": "a", "actions": [[1.0], [10**400]]}],
+    ], ids=["empty-file", "empty-actions", "mixed-widths", "duplicate-id",
+            "huge-integers", "zero-signs", "sum-overflows", "integer-overflows"])
+    def test_edge_files_agree_with_per_entry_loop(self, tmp_path, data):
+        p = tmp_path / "instances.json"
+        p.write_text(json.dumps(data))
+        assert loaded(mio.load_instances, p) == loaded(loop_load_instances, p)
+
+    def test_saved_file_loads_without_per_instance_calls(self, tmp_path,
+                                                         per_instance_calls):
+        instances, *_ = random_problem(0, dim=3, count=30, n_actions=6)
+        instances["z"] = make_instance("z", [[-0.0, 1.0, 2.0], [0.0, -0.0, 5.0]])
+        p = tmp_path / "instances.json"
+        mio.save_instances(instances, p)
+        per_instance_calls.clear()
+        back = mio.load_instances(p)
+        assert per_instance_calls == []
+        assert list(back) == list(instances)
+        for iid, inst in instances.items():
+            assert back[iid].actions.tobytes() == inst.actions.tobytes()
+
+    def test_call_counter_sees_a_per_instance_constructor(self, per_instance_calls):
+        make_instance("a", [[1.0]])
+        assert per_instance_calls == ["__post_init__", "canonical_actions"]
 
 
 class TestFeasibleSetRoundTrip:
