@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -77,9 +76,8 @@ def cmd_train(args) -> int:
         report = reward_gap_report_packed(
             log.best_weights, manifest["phi0"], store, expert, tie_tol=cfg.tie_tol
         )
-        with open(out / "gap_report.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"gaps": report.gaps.tolist(), "F": report.objective}, fh, indent=2)
-            fh.write("\n")
+        mio.save_json({"gaps": report.gaps.tolist(), "F": report.objective},
+                      out / "gap_report.json")
     print(
         f"trained {log.iters_run} iterations; best F = {log.best_objective!r} "
         f"at iteration {log.best_iteration}"
@@ -109,12 +107,10 @@ def cmd_verify(args) -> int:
     manifest = mio.load_manifest(args.manifest or data_dir / "manifest.json")
     phi0 = manifest["phi0"]
     log = mio.read_runlog_csv(run_dir / "run.csv")
-    summary = mio.read_summary(run_dir / "summary.json")
-    phi_best = summary["best_phi"]
     eps = args.eps
     n = len(data)
 
-    report, k_eps, equiv = verify_run(log, phi_best, phi0, data, instances, eps)
+    report, k_eps, equiv = verify_run(log, log.best_weights, phi0, data, instances, eps)
 
     print(f"{'check':<28}{'result':<14}detail")
     print(f"{'reward gaps >= 0':<28}{'pass':<14}min gap {float(report.gaps.min())!r}")
@@ -140,9 +136,7 @@ def cmd_verify(args) -> int:
             "w1_zero": equiv.w1_zero,
         },
     }
-    with open(run_dir / "verify_report.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(out_obj, fh, indent=2)
-        fh.write("\n")
+    mio.save_json(out_obj, run_dir / "verify_report.json")
 
     if k_eps is None:
         raise GuaranteeViolation("eps not reached")
@@ -196,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite value is reported as one error line, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except GuaranteeViolation as exc:
         return _fail(EXIT_GUARANTEE, "GUARANTEE", str(exc))
     except ValueError as exc:  # SchemaError, and json's JSONDecodeError, too

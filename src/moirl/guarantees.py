@@ -168,12 +168,13 @@ def corollary_check(
 def _first_below(log: RunLog, eps: float) -> Optional[int]:
     if not eps > 0:
         return None
-    hits = np.nonzero(log.prefix_best() < eps)[0]
-    return None if hits.size == 0 else int(log.iterations[hits[0]])
+    hits = np.flatnonzero(log.objectives < eps)
+    return None if hits.size == 0 else int(hits[0]) + 1
 
 
 def _check_budget(log: RunLog, k: int, eps: float, store, expert) -> None:
-    report = _gap_report(log.best_weights_at(k), store, expert, 0.0)
+    # Iteration k is the first with F < eps, so its iterate is the best so far.
+    report = _gap_report(log.weights[k - 1], store, expert, 0.0)
     if not report.within_budget(eps):
         raise GuaranteeViolation(
             f"reward gap exceeds eps*N at iteration {k}: "

@@ -41,6 +41,7 @@ __all__ = [
     "load_train_config",
     "load_ground_truth",
     "load_json",
+    "save_json",
     "save_run_config",
     "load_manifest",
     "save_manifest",
@@ -69,7 +70,8 @@ def load_json(path) -> Any:
         return json.load(fh, parse_constant=_reject_constant)
 
 
-def _dump_json(obj, path) -> None:
+def save_json(obj, path) -> None:
+    """Write ``obj`` in ``json.dump(..., indent=2)``'s layout, plus a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
@@ -125,18 +127,12 @@ def _rows(blocks: list) -> np.ndarray | None:
 def _vector(obj, ptr: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(ptr, "expected a nonempty array of numbers")
-    out = _rows([[obj]])
-    if out is None:
-        return np.array([_number(x, f"{ptr}/{i}") for i, x in enumerate(obj)])
-    return out[0]
+    return np.array([_number(x, f"{ptr}/{i}") for i, x in enumerate(obj)])
 
 
 def _matrix(obj, ptr: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(ptr, "expected a nonempty array of vectors")
-    out = _rows([obj])
-    if out is not None:
-        return out
     rows = [_vector(row, f"{ptr}/{i}") for i, row in enumerate(obj)]
     width = len(rows[0])
     for i, row in enumerate(rows):
@@ -280,7 +276,7 @@ def load_trajectories(path) -> TrajectorySet:
 
 
 def save_trajectories(ts: TrajectorySet, path) -> None:
-    _dump_json(
+    save_json(
         [
             {"instance_id": t.instance_id, "action": t.action.tolist()}
             for t in ts
@@ -323,7 +319,7 @@ def load_feasible_set(path) -> FeasibleSet:
 
 
 def save_feasible_set(fs: FeasibleSet, path) -> None:
-    _dump_json(feasible_set_to_obj(fs), path)
+    save_json(feasible_set_to_obj(fs), path)
 
 
 def load_run_config(path) -> RunConfig:
@@ -339,25 +335,25 @@ def load_train_config(path) -> tuple[RunConfig, np.ndarray | None]:
     max_iters = _integer(_field(obj, "max_iters", ""), "/max_iters")
     target_eps = obj.get("target_eps")
     phi1 = obj.get("phi1")
-    # Other keys, such as the retired "n_jobs", are ignored.
+    # "seed" is checked, but training draws nothing at random.  Other
+    # keys, such as the retired "n_jobs", are ignored.
+    _integer(obj.get("seed", 0), "/seed")
     cfg = RunConfig(
         schedule=StepSchedule(kind=kind, alpha0=alpha0),
         max_iters=max_iters,
         target_eps=None if target_eps is None else _number(target_eps, "/target_eps"),
         tie_tol=_number(obj.get("tie_tol", 0.0), "/tie_tol"),
-        seed=_integer(obj.get("seed", 0), "/seed"),
     )
     return cfg, None if phi1 is None else _vector(phi1, "/phi1")
 
 
 def save_run_config(cfg: RunConfig, path) -> None:
-    _dump_json(
+    save_json(
         {
             "schedule": {"kind": cfg.schedule.kind, "alpha0": cfg.schedule.alpha0},
             "max_iters": cfg.max_iters,
             "target_eps": cfg.target_eps,
             "tie_tol": cfg.tie_tol,
-            "seed": cfg.seed,
         },
         path,
     )
@@ -388,7 +384,7 @@ def save_manifest(phi0, seed: int, feasible: FeasibleSet | None, path) -> None:
     obj: dict[str, Any] = {"phi0": np.asarray(phi0, dtype=float).tolist(), "seed": seed}
     if feasible is not None:
         obj["feasible"] = feasible_set_to_obj(feasible)
-    _dump_json(obj, path)
+    save_json(obj, path)
 
 
 # -- run logs and summaries ----------------------------------------------------
@@ -400,7 +396,7 @@ def _runlog_header(d: int) -> str:
 def write_runlog_csv(log: RunLog, path) -> None:
     lines = [_runlog_header(log.weights.shape[1])]
     for i in range(log.iters_run):
-        row = [str(int(log.iterations[i])), repr(float(log.objectives[i])),
+        row = [str(i + 1), repr(float(log.objectives[i])),
                repr(float(log.grad_norms[i]))]
         row += [repr(float(x)) for x in log.weights[i]]
         lines.append(",".join(row))
@@ -418,39 +414,29 @@ def read_runlog_csv(path) -> RunLog:
     width = len(lines[0].split(","))
     if width < 4 or lines[0] != _runlog_header(width - 3):
         raise SchemaError("header", "expected k,F,grad_norm,phi_0,...,phi_{d-1}")
-    iters, objs, gnorms, phis = [], [], [], []
+    objs, gnorms, phis = [], [], []
     for k, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != width:
             raise SchemaError(f"row {k}", f"{len(parts)} fields, header has {width}")
         try:
-            iters.append(int(parts[0]))
+            k_read = int(parts[0])
             objs.append(float(parts[1]))
             gnorms.append(float(parts[2]))
             phis.append([float(x) for x in parts[3:]])
         except ValueError:
             raise SchemaError(f"row {k}", "expected numbers") from None
-        if iters[-1] != k:
-            raise SchemaError(f"row {k}", f"k is {iters[-1]}, expected {k}")
+        if k_read != k:
+            raise SchemaError(f"row {k}", f"k is {k_read}, expected {k}")
     objs_arr, gnorms_arr, phis_arr = np.array(objs), np.array(gnorms), np.array(phis)
     finite = np.isfinite(np.column_stack([objs_arr, gnorms_arr, phis_arr])).all(axis=1)
     if not finite.all():
         raise SchemaError(f"row {int(np.argmin(finite)) + 1}", "non-finite value")
-    best = int(np.argmin(objs_arr))
-    return RunLog(
-        iterations=np.array(iters, dtype=int),
-        weights=phis_arr,
-        objectives=objs_arr,
-        grad_norms=gnorms_arr,
-        best_weights=phis_arr[best],
-        best_objective=float(objs_arr[best]),
-        best_iteration=int(iters[best]),
-        iters_run=len(iters),
-    )
+    return RunLog(weights=phis_arr, objectives=objs_arr, grad_norms=gnorms_arr)
 
 
 def write_summary(log: RunLog, path) -> None:
-    _dump_json(
+    save_json(
         {
             "best_phi": log.best_weights.tolist(),
             "best_F": log.best_objective,

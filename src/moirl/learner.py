@@ -8,6 +8,7 @@ when the weights reproduce every expert decision's reward.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -60,7 +61,6 @@ class RunConfig:
     max_iters: int = 1000
     target_eps: Optional[float] = None
     tie_tol: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -73,25 +73,38 @@ class RunConfig:
 
 @dataclass
 class RunLog:
-    """Per-iteration training record plus the best iterate found."""
+    """Per-iteration training record; the best iterate is read off it."""
 
-    iterations: np.ndarray  # (T,) 1-based iteration indices
     weights: np.ndarray  # (T, d) iterate per iteration
     objectives: np.ndarray  # (T,) objective at each iterate
     grad_norms: np.ndarray  # (T,) L2 norm of the subgradient
-    best_weights: np.ndarray
-    best_objective: float
-    best_iteration: int
-    iters_run: int
+
+    @property
+    def iters_run(self) -> int:
+        return len(self.objectives)
+
+    @property
+    def iterations(self) -> np.ndarray:
+        """1-based iteration indices."""
+        return np.arange(1, self.iters_run + 1)
+
+    @property
+    def best_iteration(self) -> int:
+        """The earliest iteration with the least objective."""
+        return int(np.argmin(self.objectives)) + 1
+
+    @property
+    def best_objective(self) -> float:
+        # Indexed, not ``min()``: the earliest of a tie of 0.0 and -0.0.
+        return float(self.objectives[self.best_iteration - 1])
+
+    @property
+    def best_weights(self) -> np.ndarray:
+        return self.weights[self.best_iteration - 1]
 
     def prefix_best(self) -> np.ndarray:
         """Running minimum of the objective over iterations (nonincreasing)."""
         return np.minimum.accumulate(self.objectives)
-
-    def best_weights_at(self, k: int) -> np.ndarray:
-        """Best iterate among iterations 1..k (earliest on ties)."""
-        upto = self.objectives[: k]
-        return self.weights[int(np.argmin(upto))]
 
 
 def objective_value(phi, data, instances, tie_tol: float = 0.0) -> float:
@@ -100,14 +113,22 @@ def objective_value(phi, data, instances, tie_tol: float = 0.0) -> float:
     Nonnegative whenever every expert action is feasible for its
     instance; zero iff phi rates each expert action as optimal.
     """
-    g = subgradient(phi, data, instances, tie_tol)
-    return float(g @ as_weights(phi, g.size))
+    store, expert = checked_decisions(data, instances)
+    return _evaluate(as_weights(phi, store.dim), store, expert, tie_tol)[0]
 
 
 def subgradient(phi, data, instances, tie_tol: float = 0.0) -> np.ndarray:
     """A subgradient of the objective: mean solved action minus mean expert action."""
     store, expert = checked_decisions(data, instances)
-    return (solve_packed(phi, store, tie_tol) - expert).mean(axis=0)
+    return _evaluate(as_weights(phi, store.dim), store, expert, tie_tol)[1]
+
+
+def _evaluate(
+    phi: np.ndarray, store: PackedInstances, expert: np.ndarray, tie_tol: float
+) -> tuple[float, np.ndarray]:
+    """The objective at the weight vector ``phi`` and its subgradient."""
+    g = (solve_packed(phi, store, tie_tol) - expert).mean(axis=0)
+    return float(g @ phi), g
 
 
 def train(
@@ -122,7 +143,8 @@ def train(
     Runs for ``cfg.max_iters`` iterations (or stops early once the best
     objective drops below ``cfg.target_eps``): at each iterate the
     objective and subgradient are logged, then the next iterate is the
-    projection of the subgradient step back onto the feasible set.
+    projection of the subgradient step back onto the feasible set.  A
+    non-finite objective or subgradient raises ValueError, unlogged.
     """
     return train_packed(*checked_decisions(data, instances), feasible, phi1, cfg)
 
@@ -144,29 +166,19 @@ def train_packed(
             warnings.warn("initial weights outside the feasible set; projecting")
             phi = project(feasible, phi)
 
-    iters, phis, objs, gnorms = [], [], [], []
-    best_phi, best_obj, best_iter = phi, np.inf, 0
+    phis, objs, gnorms = [], [], []
     for k in range(1, cfg.max_iters + 1):
-        g = (solve_packed(phi, store, cfg.tie_tol) - expert).mean(axis=0)
-        obj = float(g @ phi)
-        iters.append(k)
+        obj, g = _evaluate(phi, store, expert, cfg.tie_tol)
+        gnorm = float(np.linalg.norm(g))
+        if not (math.isfinite(obj) and math.isfinite(gnorm)):
+            raise ValueError(f"objective or subgradient is not finite at iteration {k}")
         phis.append(phi)
         objs.append(obj)
-        gnorms.append(float(np.linalg.norm(g)))
-        if obj < best_obj:
-            best_phi, best_obj, best_iter = phi, obj, k
-        if cfg.target_eps is not None and best_obj < cfg.target_eps:
+        gnorms.append(gnorm)
+        # The running minimum first drops below target_eps at this iterate.
+        if cfg.target_eps is not None and obj < cfg.target_eps:
             break
         if k < cfg.max_iters:
             phi = project(feasible, phi - cfg.schedule.step(k) * g)
 
-    return RunLog(
-        iterations=np.array(iters, dtype=int),
-        weights=np.stack(phis),
-        objectives=np.array(objs),
-        grad_norms=np.array(gnorms),
-        best_weights=best_phi,
-        best_objective=best_obj,
-        best_iteration=best_iter,
-        iters_run=len(iters),
-    )
+    return RunLog(np.stack(phis), np.array(objs), np.array(gnorms))

@@ -61,6 +61,12 @@ def _lists(obj):
         yield from _lists(item)
 
 
+def objective_runs():
+    """Logged objectives with ties, plateaus and a ``0.0``/``-0.0`` tie."""
+    return st.lists(st.sampled_from([2.0, 0.5, 0.25, 0.0, -0.0]),
+                    min_size=1, max_size=20)
+
+
 @st.composite
 def mutated_entries(draw, entries, id_key):
     """A deep copy of ``entries``, a list of JSON objects, after up to three

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -214,6 +217,28 @@ class TestTrain:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
 
+    def test_overflowing_subgradient_exits_2_with_one_line(self, fixture_files):
+        # In a subprocess: numpy warnings would go to its stderr, where
+        # in-process pytest captures them as warnings instead.
+        tmp_path, _, _, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        write_json(data_dir / "instances.json",
+                   [{"id": "a", "actions": [[1.5e308, 0], [-1.5e308, 1]]}])
+        write_json(data_dir / "expert_trajectories.json",
+                   [{"instance_id": "a", "action": [1.5e308, 0]}])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "moirl.cli", "train", str(data_dir),
+             str(feasible), str(config), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 2, proc.stderr
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:"), proc.stderr
+
     def test_missing_file_exits_4(self, fixture_files, capsys):
         tmp_path, _, _, feasible, config = fixture_files
         code = main(["train", str(tmp_path / "nope"), str(feasible),
@@ -298,6 +323,18 @@ class TestVerify:
         assert main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"]) == 0
         report = json.loads((run_dir / "verify_report.json").read_text())
         assert set(report) == {"gaps", "F", "eps", "bound_eN", "equivalence"}
+
+    def test_report_does_not_depend_on_summary_json(self, fixture_files):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        argv = ["verify", str(data_dir), str(run_dir), "--eps", "1e-2"]
+        report = run_dir / "verify_report.json"
+        assert main(argv) == 0
+        want = report.read_bytes()
+        report.unlink()
+        (run_dir / "summary.json").unlink()
+        assert main(argv) == 0
+        assert report.read_bytes() == want
 
     def test_truncated_run_csv_exits_2(self, fixture_files, capsys):
         tmp_path, spec, phi0, feasible, config = fixture_files

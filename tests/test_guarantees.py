@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import grid_weights, random_problem
+from conftest import grid_weights, objective_runs, random_problem
+from moirl import guarantees
 from moirl.domain import Ball, Trajectory, TrajectorySet, make_instance
 from moirl.guarantees import (
+    GapReport,
     GuaranteeViolation,
     corollary_check,
     equivalence_check,
     reward_gap_report,
     verify_run,
 )
-from moirl.learner import RunConfig, StepSchedule, objective_value, train
+from moirl.learner import RunConfig, RunLog, StepSchedule, objective_value, train
 from moirl.synth import expert_trajectories, random_instances
 
 
@@ -139,6 +144,33 @@ class TestCorollaryCheck:
         if log.best_objective == 0.0:
             pytest.skip("run hit exact zero; any eps > 0 is reached")
         assert corollary_check(log, phi0, data, instances, eps=tiny) is None
+
+
+class TestFirstBelow:
+    """The first iteration below eps, and the iterate whose gaps are checked
+    there, against the running-minimum rule."""
+
+    @given(objectives=objective_runs(),
+           eps=st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0, 3.0]))
+    def test_matches_prefix_best_rule(self, objectives, eps):
+        t = len(objectives)
+        log = RunLog(weights=np.arange(2.0 * t).reshape(t, 2),
+                     objectives=np.array(objectives), grad_norms=np.zeros(t))
+        hits = np.nonzero(log.prefix_best() < eps)[0]
+        want = int(hits[0]) + 1 if eps > 0 and hits.size else None
+        assert guarantees._first_below(log, eps) == want
+        if want is None:
+            return
+        seen = []
+
+        def gap_report(phi, store, expert, tie_tol):
+            seen.append(phi)
+            return GapReport(gaps=np.zeros(1), objective=0.0, n=1)
+
+        with mock.patch.object(guarantees, "_gap_report", gap_report):
+            guarantees._check_budget(log, want, eps, None, None)
+        best = log.weights[int(np.argmin(log.objectives[:want]))]
+        assert [phi.tobytes() for phi in seen] == [best.tobytes()]
 
 
 class TestVerifyRun:

@@ -15,17 +15,7 @@ def make_log(k=5, d=2, seed=0):
     rng = np.random.default_rng(seed)
     objs = rng.random(k)
     phis = rng.normal(size=(k, d))
-    best = int(np.argmin(objs))
-    return RunLog(
-        iterations=np.arange(1, k + 1),
-        weights=phis,
-        objectives=objs,
-        grad_norms=rng.random(k),
-        best_weights=phis[best],
-        best_objective=float(objs[best]),
-        best_iteration=best + 1,
-        iters_run=k,
-    )
+    return RunLog(weights=phis, objectives=objs, grad_norms=rng.random(k))
 
 
 class TestInstanceRoundTrip:
@@ -420,7 +410,6 @@ class TestRunConfigRoundTrip:
             max_iters=123,
             target_eps=1e-3,
             tie_tol=1e-9,
-            seed=42,
         )
         p = tmp_path / "cfg.json"
         mio.save_run_config(cfg, p)

@@ -1,8 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_problem
-from moirl.domain import Ball, Trajectory, TrajectorySet, make_instance
+from conftest import objective_runs, random_problem
+from moirl import learner
+from moirl.domain import (
+    Ball,
+    Box,
+    Trajectory,
+    TrajectorySet,
+    checked_decisions,
+    make_instance,
+)
 from moirl.learner import (
     RunConfig,
     StepSchedule,
@@ -182,8 +193,62 @@ class TestTrain:
         assert np.array_equal(log.objectives, np.array(objs))
         assert np.array_equal(log.grad_norms, np.array(gnorms))
 
+    def test_non_finite_objective_raises_before_it_is_logged(self):
+        inst = make_instance("a", [[1.5e308, 0.0], [-1.5e308, 1.0]])
+        data = TrajectorySet((Trajectory("a", np.array([1.5e308, 0.0])),))
+        fs = Ball(center=np.zeros(2), radius=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="not finite at iteration 1"):
+            train(data, {"a": inst}, fs, cfg=RunConfig(max_iters=1))
+
     def test_best_tie_broken_by_earliest_iteration(self, unit_ball2):
         instances, data, phi0, _ = random_problem(seed=30)
         log = train(data, instances, unit_ball2, phi1=phi0,
                     cfg=RunConfig(max_iters=5))
         assert log.best_iteration == 1
+
+
+def running_best_loop(objectives, eps, schedule):
+    """The loop's old bookkeeping, as reference: a strict-``<`` running
+    best, and the target_eps stop on it, over scripted objectives F with
+    subgradients (F, 1) and no projection."""
+    phi, phis = np.zeros(2), []
+    best_obj, best_phi, best_k = np.inf, None, 0
+    for k, obj in enumerate(objectives, start=1):
+        phis.append(phi)
+        if obj < best_obj:
+            best_obj, best_phi, best_k = obj, phi, k
+        if eps is not None and best_obj < eps:
+            break
+        phi = phi - schedule.step(k) * np.array([obj, 1.0])
+    return np.stack(phis), best_k, best_obj, best_phi
+
+
+class TestBestIterate:
+    """The best iterate and the target_eps stop, derived from the logged
+    objectives, against the running-best loop."""
+
+    @given(objectives=objective_runs(),
+           eps=st.sampled_from([None, 0.1, 0.25, 0.3, 1.0, 3.0]))
+    def test_matches_running_best_loop(self, objectives, eps):
+        instances, data, _, _ = random_problem(seed=32)
+        store, expert = checked_decisions(data, instances)
+        script = iter(objectives)
+
+        def scripted(phi, store, expert, tie_tol):
+            obj = next(script)
+            return obj, np.array([obj, 1.0])  # every iterate differs from the last
+
+        # A box so wide that no step is projected.
+        wide = Box(lo=np.full(2, -1e6), hi=np.full(2, 1e6))
+        cfg = RunConfig(max_iters=len(objectives), target_eps=eps)
+        with mock.patch.object(learner, "_evaluate", scripted):
+            log = learner.train_packed(store, expert, wide, np.zeros(2), cfg)
+
+        phis, best_k, best_obj, best_phi = running_best_loop(
+            objectives, eps, cfg.schedule)
+        assert log.weights.tobytes() == phis.tobytes()
+        assert log.objectives.tobytes() == np.array(objectives[:len(phis)]).tobytes()
+        assert log.best_iteration == best_k
+        assert repr(log.best_objective) == repr(float(best_obj))
+        assert log.best_weights.tobytes() == best_phi.tobytes()
