@@ -48,10 +48,9 @@ def canonical_actions(actions) -> np.ndarray:
     """Deduplicate and lexicographically sort a list of action vectors.
 
     The canonical order makes serialization byte-stable and loading
-    idempotent; duplicates are dropped with set semantics.  The result
-    has the bits of ``np.unique(actions, axis=0)``: it is the
-    one-segment case of ``make_instances``' canonicalisation, and never
-    ``actions`` itself.
+    idempotent; duplicates are dropped with set semantics.  Rows that
+    differ only in the sign of a zero are duplicates, and the result has
+    the bits of ``np.unique(actions, axis=0)``, never ``actions`` itself.
     """
     arr = np.asarray(actions, dtype=float)
     out, _ = _canonical_segments(arr, np.array(arr.shape[:1]))
@@ -61,62 +60,49 @@ def canonical_actions(actions) -> np.ndarray:
     return out
 
 
+def _increasing(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Whether each row of ``a`` is the first of its segment (``starts``
+    holds those rows) or lexicographically greater than the row before
+    it, built up from the last column.  It compares with ``<``, as
+    ``np.unique``'s sort does, so ``-0.0`` and ``0.0`` are equal."""
+    prev, nxt = a[:-1], a[1:]
+    increasing = np.ones(len(a), dtype=bool)
+    increasing[1:] = prev[:, -1] < nxt[:, -1]
+    for j in range(a.shape[1] - 2, -1, -1):
+        increasing[1:] = (prev[:, j] < nxt[:, j]) | (
+            (prev[:, j] == nxt[:, j]) & increasing[1:])
+    increasing[starts] = True
+    return increasing
+
+
 def _canonical_segments(arr: np.ndarray, sizes: np.ndarray):
     """Canonicalise each segment of ``arr`` (runs of ``sizes`` rows, end to
     end); returns the result, ``arr`` itself when every segment is
     canonical already, and the new segment sizes.
 
-    One strictly-increasing test runs over all row pairs, pairs that
-    cross a segment boundary masked out.  It compares with ``<``, as
-    ``np.unique``'s sort does, so ``-0.0`` and ``0.0`` are equal.  The
-    rows of the other segments get one stable ``np.lexsort`` keyed by
-    (segment, columns) and lose each row equal to the one before it in
-    their segment.  Only a segment holding a ``-0.0`` still goes through
-    ``np.unique``: where two rows differ only in the sign of a zero, its
-    unstable sort decides which one is kept.
+    An input holding a ``-0.0`` goes through ``np.unique`` segment by
+    segment: where two rows differ only in the sign of a zero, its
+    unstable sort decides which one is kept.  Any other input gets one
+    stable ``np.lexsort`` keyed by (segment, columns) and loses each row
+    equal to the one before it in its segment.
     """
     if arr.ndim != 2 or arr.shape[1] < 1 or np.any(sizes < 1):
         raise ValueError("actions must be a nonempty list of equal-length vectors")
+    if sizes.sum() != len(arr):
+        raise ValueError(f"segment sizes add up to {sizes.sum()} rows, "
+                         f"but there are {len(arr)} action rows")
     if not np.isfinite(arr).all():
         raise ValueError("action vectors must be finite")
     starts = np.cumsum(sizes) - sizes
-    # Whether each row is lexicographically greater than the one before,
-    # built up from the last column, one column at a time.
-    prev, nxt = arr[:-1], arr[1:]
-    increasing = prev[:, -1] < nxt[:, -1]
-    for j in range(arr.shape[1] - 2, -1, -1):
-        increasing = (prev[:, j] < nxt[:, j]) | ((prev[:, j] == nxt[:, j]) & increasing)
-    increasing[starts[1:] - 1] = True
-    if increasing.all():
+    if _increasing(arr, starts).all():
         return arr, sizes
+    if np.signbit(arr[arr == 0]).any():
+        segs = [np.unique(seg, axis=0) for seg in np.split(arr, starts[1:])]
+        return np.concatenate(segs), np.array([len(seg) for seg in segs])
     seg = np.repeat(np.arange(sizes.size), sizes)
-    bad = np.zeros(sizes.size, dtype=bool)
-    bad[seg[:-1][~increasing]] = True
-    negzero = np.zeros_like(bad)
-    zero_rows, zero_cols = np.nonzero(arr == 0)
-    negzero[seg[zero_rows[np.signbit(arr[zero_rows, zero_cols])]]] = True
-    # Sorted rows stay in their segment's range.  np.lexsort keys are
-    # compared last-first: segment (when there are several), then columns.
-    rows = np.flatnonzero((bad & ~negzero)[seg])
-    sub = arr if rows.size == len(arr) else arr[rows]
-    keys = (*sub.T[::-1], seg[rows]) if sizes.size > 1 else sub.T[::-1]
-    take = np.arange(len(arr))
-    take[rows] = rows[np.lexsort(keys)]
-    drop = np.ones(len(arr), dtype=bool)  # equal to the row before it
-    for col in arr.T:
-        ordered = col[take]
-        drop[1:] &= ordered[1:] == ordered[:-1]
-    drop[starts] = False
-    uniq = {i: np.unique(arr[starts[i] : starts[i] + sizes[i]], axis=0)
-            for i in np.flatnonzero(bad & negzero)}
-    for i, u in uniq.items():
-        drop[starts[i] : starts[i] + sizes[i]] = np.arange(sizes[i]) >= len(u)
-    out = arr[take[~drop]]
-    sizes = sizes - np.bincount(seg[drop], minlength=sizes.size)
-    starts = np.cumsum(sizes) - sizes
-    for i, u in uniq.items():
-        out[starts[i] : starts[i] + sizes[i]] = u
-    return out, sizes
+    out = arr[np.lexsort((*arr.T[::-1], seg))]
+    keep = _increasing(out, starts)
+    return out[keep], np.bincount(seg[keep], minlength=sizes.size)
 
 
 @dataclass(frozen=True)
@@ -146,10 +132,11 @@ def make_instances(ids, actions, sizes, states=None) -> list[Instance]:
     """One instance per id, in order: instance ``i`` holds the canonical
     form of the next ``sizes[i]`` rows of the (rows, d) ``actions``.
 
-    All segments are checked and sorted together, as ``canonical_actions``
-    sorts one.  The instances hold read-only views of one array; that is
-    ``actions`` itself, made read-only, when it is a float array whose
-    segments are all canonical already.
+    ``sizes`` must add up to the rows of ``actions``, or ValueError is
+    raised.  Each action set has the bits of ``canonical_actions`` on its
+    segment, signed zeros included.  The instances hold read-only views
+    of one array; that is ``actions`` itself, made read-only, when it is
+    a float array whose segments are all canonical already.
     """
     arr, sizes = _canonical_segments(
         np.asarray(actions, dtype=float), np.asarray(sizes, dtype=np.intp)
@@ -229,6 +216,8 @@ def pack(insts: list[Instance]) -> PackedInstances:
 
     A single instance is stored as its own actions array, not a copy.
     """
+    if not insts:
+        raise ValueError("there are no instances to pack")
     dims = sorted({inst.dim for inst in insts})
     if len(dims) != 1:
         raise ValueError(f"instances have mixed dimensions {dims}")

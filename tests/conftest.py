@@ -115,20 +115,29 @@ def mutated_entries(draw, entries, id_key):
     return data
 
 
+def _count_calls(monkeypatch, targets):
+    """Wrap each ``(owner, name)`` attribute so that a call to it appends
+    ``name`` to the returned list."""
+    calls = []
+    for owner, name in targets:
+        def wrapper(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 @pytest.fixture
 def per_instance_calls(monkeypatch):
     """Names of the per-instance canonicalisation calls made while the
     test runs: ``canonical_actions`` and ``Instance.__post_init__``."""
-    calls = []
+    return _count_calls(monkeypatch, [(domain, "canonical_actions"),
+                                      (domain.Instance, "__post_init__")])
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(domain, "canonical_actions",
-                        counted("canonical_actions", domain.canonical_actions))
-    monkeypatch.setattr(domain.Instance, "__post_init__",
-                        counted("__post_init__", domain.Instance.__post_init__))
-    return calls
+@pytest.fixture
+def sort_calls(monkeypatch):
+    """Names of the ``np.lexsort`` and ``np.unique`` calls made while the
+    test runs."""
+    return _count_calls(monkeypatch, [(np, "lexsort"), (np, "unique")])

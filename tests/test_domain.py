@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moirl.domain import (
     Ball,
@@ -232,6 +232,14 @@ def segment_lists(draw):
 class TestMakeInstances:
     @given(segment_lists())
     @settings(max_examples=150)
+    # A canonical segment holding a -0.0 beside an unsorted one without.
+    @example([np.array([[-0.0, 1.0], [1.0, 0.0]]), np.array([[2.0, 0.0], [1.0, 0.5]])])
+    # Canonical and unsorted segments, no -0.0: both go through the sort.
+    @example([np.array([[0.0, 1.0], [1.0, 0.0]]),
+              np.array([[2.0, 1.0], [1.0, 1.0], [2.0, 1.0]])])
+    # One unsorted segment among one-row segments.
+    @example([np.array([[1.0]]), np.array([[2.0], [0.0], [2.0]]), np.array([[-1.0]]),
+              np.array([[0.5]])])
     def test_bit_identical_to_canonical_actions_per_segment(self, segs):
         ids = [f"s{i}" for i in range(len(segs))]
         insts = make_instances(ids, np.concatenate(segs), [len(s) for s in segs],
@@ -255,10 +263,22 @@ class TestMakeInstances:
     def test_no_instances(self):
         assert make_instances([], np.empty((0, 3)), []) == []
 
+    def test_one_sort_for_unsorted_segments_without_negative_zero(self, sort_calls):
+        rng = np.random.default_rng(0)
+        actions = rng.integers(-3, 4, size=(1000 * 20, 3)).astype(float)
+        actions[actions == 0] = 1.0  # no zero of either sign
+        insts = make_instances([str(i) for i in range(1000)], actions, [20] * 1000)
+        assert len(insts) == 1000
+        assert sort_calls == ["lexsort"]
+
     @pytest.mark.parametrize("actions, sizes, message", [
         ([[0.0], [1.0]], [2, 0], "nonempty"),
         (np.empty((2, 0)), [1, 1], "nonempty"),
         ([[0.0], [np.inf]], [1, 1], "finite"),
+        ([[1, 2], [3, 4], [5, 6]], [1, 1], "add up to 2 rows.*3 action rows"),
+        ([[1, 2], [3, 4]], [1, 2], "add up to 3 rows.*2 action rows"),
+        ([[1, 2], [0, 0], [3, 3]], [2], "add up to 2 rows.*3 action rows"),
+        ([[1, 2]], [1, 1], "add up to 2 rows.*1 action rows"),
     ])
     def test_rejects_empty_and_nonfinite(self, actions, sizes, message):
         ids = [str(i) for i in range(len(sizes))]

@@ -19,6 +19,7 @@ from moirl.solvers import (
     solve,
     solve_packed,
 )
+from moirl.synth import expert_trajectories
 
 
 def brute_solve(phi, actions):
@@ -200,6 +201,12 @@ class TestSolvePacked:
         insts = [make_instance("a", [[0.0]]), make_instance("b", [[0.0, 1.0]])]
         with pytest.raises(ValueError, match="mixed dimensions"):
             pack(insts)
+
+    def test_no_instances_rejected(self):
+        with pytest.raises(ValueError, match="no instances"):
+            pack([])
+        with pytest.raises(ValueError, match="no instances"):
+            expert_trajectories(np.array([1.0]), {})
 
     @pytest.mark.parametrize("tie_tol", [-1.0, np.nan])
     def test_bad_tie_tol_rejected(self, tie_tol):
