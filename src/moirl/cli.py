@@ -72,9 +72,9 @@ def cmd_train(args) -> int:
 
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
-        manifest = mio.load_manifest(manifest_path)
+        phi0, _ = mio.load_ground_truth(manifest_path)
         report = reward_gap_report_packed(
-            log.best_weights, manifest["phi0"], store, expert, tie_tol=cfg.tie_tol
+            log.best_weights, phi0, store, expert, tie_tol=cfg.tie_tol
         )
         mio.save_json({"gaps": report.gaps.tolist(), "F": report.objective},
                       out / "gap_report.json")
@@ -88,10 +88,8 @@ def cmd_train(args) -> int:
 def cmd_wasserstein(args) -> int:
     a = mio.load_trajectories(args.traj_a)
     b = mio.load_trajectories(args.traj_b)
-    pts_a = np.stack([t.action for t in a])
-    pts_b = np.stack([t.action for t in b])
-    dist = w1_exact(pts_a, pts_b)
-    bound = linear_dual_lower_bound(pts_a, pts_b)
+    dist = w1_exact(a.actions, b.actions)
+    bound = linear_dual_lower_bound(a.actions, b.actions)
     print(f"w1 {dist!r}")
     print(f"linear_dual_lower_bound {bound!r}")
     return EXIT_OK
@@ -104,8 +102,7 @@ def cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     instances = mio.load_instances(data_dir / "instances.json")
     data = mio.load_trajectories(data_dir / "expert_trajectories.json")
-    manifest = mio.load_manifest(args.manifest or data_dir / "manifest.json")
-    phi0 = manifest["phi0"]
+    phi0, _ = mio.load_ground_truth(args.manifest or data_dir / "manifest.json")
     log = mio.read_runlog_csv(run_dir / "run.csv")
     eps = args.eps
     n = len(data)
@@ -182,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("run_dir")
     v.add_argument("--eps", type=float, required=True)
     v.add_argument("--manifest", default=None,
-                   help="ground-truth manifest (default: data_dir/manifest.json)")
+                   help="ground-truth file, manifest.json or phi0.json "
+                   "(default: data_dir/manifest.json)")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -9,7 +9,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -132,22 +132,25 @@ def make_instances(ids, actions, sizes, states=None) -> list[Instance]:
     """One instance per id, in order: instance ``i`` holds the canonical
     form of the next ``sizes[i]`` rows of the (rows, d) ``actions``.
 
+    ``ids``, ``sizes`` and ``states`` (if given) must have one length and
     ``sizes`` must add up to the rows of ``actions``, or ValueError is
     raised.  Each action set has the bits of ``canonical_actions`` on its
     segment, signed zeros included.  The instances hold read-only views
     of one array; that is ``actions`` itself, made read-only, when it is
     a float array whose segments are all canonical already.
     """
-    arr, sizes = _canonical_segments(
-        np.asarray(actions, dtype=float), np.asarray(sizes, dtype=np.intp)
-    )
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if states is None:
+        states = [None] * len(ids)
+    if not len(ids) == len(sizes) == len(states):
+        raise ValueError(f"there are {len(ids)} ids, {len(sizes)} sizes and "
+                         f"{len(states)} states; expected one of each per instance")
+    arr, sizes = _canonical_segments(np.asarray(actions, dtype=float), sizes)
     arr.setflags(write=False)
     ends = np.cumsum(sizes).tolist()
-    if states is None:
-        states = [None] * len(ends)
     return [
         _instance(iid, arr[end - n : end], state)
-        for iid, n, end, state in zip(ids, sizes.tolist(), ends, states, strict=True)
+        for iid, n, end, state in zip(ids, sizes.tolist(), ends, states)
     ]
 
 
@@ -160,38 +163,40 @@ def _instance(id: str, actions: np.ndarray, state: Any) -> Instance:
     return inst
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One expert decision: the action taken on the referenced instance."""
 
     instance_id: str
     action: np.ndarray
 
-    def __post_init__(self):
-        a = np.asarray(self.action, dtype=float)
-        if a.ndim != 1:
-            raise ValueError("trajectory action must be a 1-D vector")
-        a.setflags(write=False)
-        object.__setattr__(self, "action", a)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """A nonempty collection of expert decisions (the empirical sample)."""
+    """A nonempty sample of expert decisions (the empirical measure):
+    decision ``n`` took action ``actions[n]`` on instance ``instance_ids[n]``.
 
-    trajectories: tuple[Trajectory, ...]
+    Iterating yields one ``Trajectory`` per decision, in order.
+    """
+
+    instance_ids: tuple[str, ...]
+    actions: np.ndarray  # (N, d), read-only
 
     def __post_init__(self):
-        trajs = tuple(self.trajectories)
-        if len(trajs) < 1:
-            raise ValueError("trajectory set must contain at least one trajectory")
-        object.__setattr__(self, "trajectories", trajs)
+        ids = tuple(self.instance_ids)
+        a = np.asarray(self.actions, dtype=float)
+        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+            raise ValueError("trajectory actions must be a nonempty (N, d) array")
+        if len(ids) != a.shape[0]:
+            raise ValueError(f"{len(ids)} instance ids for {a.shape[0]} actions")
+        a.setflags(write=False)
+        object.__setattr__(self, "instance_ids", ids)
+        object.__setattr__(self, "actions", a)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.instance_ids)
 
     def __iter__(self):
-        return iter(self.trajectories)
+        return map(Trajectory, self.instance_ids, self.actions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,51 +253,45 @@ def checked_decisions(
 
     The store is the one ``validate``'s membership test ran on, so
     callers solve on it without packing again.  Raises ValueError
-    listing ``validate``'s diagnostics if there are any, or if the
-    decisions have mixed dimensions.
+    listing ``validate``'s diagnostics if there are any.
     """
-    problems, by_dim = _diagnose(ts, instances)
+    problems, store, expert = _diagnose(ts, instances)
     if problems:
         raise ValueError("invalid trajectory data: " + "; ".join(problems))
-    if len(by_dim) != 1:
-        raise ValueError(f"instances have mixed dimensions {sorted(by_dim)}")
-    (store, expert), = by_dim.values()
     return store, expert
 
 
 def _diagnose(ts, instances):
     """``validate``'s diagnostics, and the packed store and expert actions
-    of the decisions whose action dimension is their instance's, keyed by
-    that dimension.  Each store's membership test is one row match
-    against the repeated expert actions and one ``logical_or.reduceat``.
+    of the decisions whose instance is known and as wide as the actions
+    (None and None if there are none).  The membership test is one row
+    match against the repeated expert actions and one
+    ``logical_or.reduceat``.
     """
-    trajs = list(ts)
-    insts = [instances.get(t.instance_id) for t in trajs]
+    d = ts.actions.shape[1]
+    insts = [instances.get(iid) for iid in ts.instance_ids]
     problems: dict[int, str] = {}
-    groups: dict[int, list[int]] = {}
-    for n, (traj, inst) in enumerate(zip(trajs, insts)):
+    for n, (iid, inst) in enumerate(zip(ts.instance_ids, insts)):
         if inst is None:
-            problems[n] = f"trajectory {n}: unknown instance id {traj.instance_id!r}"
-        elif traj.action.shape[0] != inst.dim:
+            problems[n] = f"trajectory {n}: unknown instance id {iid!r}"
+        elif inst.dim != d:
             problems[n] = (
-                f"trajectory {n}: action dimension {traj.action.shape[0]} "
+                f"trajectory {n}: action dimension {d} "
                 f"!= instance dimension {inst.dim}"
             )
-        else:
-            groups.setdefault(inst.dim, []).append(n)
-    by_dim = {}
-    for d, rows in groups.items():
-        store = pack([insts[n] for n in rows])
-        expert = np.stack([trajs[n].action for n in rows])
-        match = np.all(store.actions == np.repeat(expert, store.sizes, axis=0), axis=1)
-        for j in np.flatnonzero(~np.logical_or.reduceat(match, store.starts)):
-            traj = trajs[rows[j]]
-            problems[rows[j]] = (
-                f"trajectory {rows[j]}: action {traj.action.tolist()} is not in the "
-                f"action set of instance {traj.instance_id!r}"
-            )
-        by_dim[d] = store, expert
-    return [problems[n] for n in sorted(problems)], by_dim
+    rows = [n for n in range(len(insts)) if n not in problems]
+    if not rows:
+        return [problems[n] for n in sorted(problems)], None, None
+    store = pack([insts[n] for n in rows])
+    expert = ts.actions[rows] if problems else ts.actions
+    match = np.all(store.actions == np.repeat(expert, store.sizes, axis=0), axis=1)
+    for j in np.flatnonzero(~np.logical_or.reduceat(match, store.starts)):
+        n = rows[j]
+        problems[n] = (
+            f"trajectory {n}: action {expert[j].tolist()} is not in the "
+            f"action set of instance {ts.instance_ids[n]!r}"
+        )
+    return [problems[n] for n in sorted(problems)], store, expert
 
 
 @dataclass(frozen=True, eq=False)

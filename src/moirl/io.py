@@ -22,7 +22,6 @@ from .domain import (
     FeasibleSet,
     Instance,
     Simplex,
-    Trajectory,
     TrajectorySet,
     make_instance,
     make_instances,
@@ -253,6 +252,8 @@ def save_instances(instances: Mapping[str, Instance], path) -> None:
 
 
 def load_trajectories(path) -> TrajectorySet:
+    """Read ``expert_trajectories.json``: one ``instance_id`` and one
+    ``action`` per entry, every action of one length."""
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of trajectory objects")
@@ -261,28 +262,27 @@ def load_trajectories(path) -> TrajectorySet:
     if actions is not None:
         ids = entries[0]
         del data, entries  # as in load_instances
-        return TrajectorySet(trajectories=tuple(map(Trajectory, ids, actions)))
-    trajs = []
+        return TrajectorySet(ids, actions)
+    ids, rows = [], []
     for i, entry in enumerate(data):
         ptr = f"/{i}"
         iid = _field(entry, "instance_id", ptr)
         if not isinstance(iid, str):
             raise SchemaError(f"{ptr}/instance_id", "expected a string")
         action = _vector(_field(entry, "action", ptr), f"{ptr}/action")
-        trajs.append(Trajectory(instance_id=iid, action=action))
-    if not trajs:
+        if rows and len(action) != len(rows[0]):
+            raise SchemaError(f"{ptr}/action",
+                              f"length {len(action)}, expected {len(rows[0])}")
+        ids.append(iid)
+        rows.append(action)
+    if not rows:
         raise SchemaError("", "trajectory file must contain at least one entry")
-    return TrajectorySet(trajectories=tuple(trajs))
+    return TrajectorySet(ids, np.array(rows))
 
 
 def save_trajectories(ts: TrajectorySet, path) -> None:
-    save_json(
-        [
-            {"instance_id": t.instance_id, "action": t.action.tolist()}
-            for t in ts
-        ],
-        path,
-    )
+    save_json([{"instance_id": iid, "action": action}
+               for iid, action in zip(ts.instance_ids, ts.actions.tolist())], path)
 
 
 # -- feasible sets, run configs, manifests ------------------------------------

@@ -11,7 +11,6 @@ import numpy as np
 
 from .domain import (
     Instance,
-    Trajectory,
     TrajectorySet,
     make_instance,
     make_instances,
@@ -118,8 +117,4 @@ def expert_trajectories(phi0, instances: Mapping[str, Instance]) -> TrajectorySe
     """One expert decision per instance, from the exact solver under phi0."""
     insts = list(instances.values())
     chosen = solve_packed(phi0, pack(insts), tie_tol=0.0)
-    return TrajectorySet(
-        trajectories=tuple(
-            Trajectory(instance_id=inst.id, action=a) for inst, a in zip(insts, chosen)
-        )
-    )
+    return TrajectorySet([inst.id for inst in insts], chosen)

@@ -315,6 +315,15 @@ class TestWasserstein:
                        {"instance_id": "y", "action": [1.0]}])
         assert main(["wasserstein", str(a), str(b)]) == 2
 
+    def test_ragged_actions_exit_2_naming_the_entry(self, tmp_path, capsys):
+        traj = tmp_path / "t.json"
+        write_json(traj, [{"instance_id": "x", "action": [1, 2]},
+                          {"instance_id": "y", "action": [1]}])
+        assert main(["wasserstein", str(traj), str(traj)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+        assert "/1/action" in err[0]
+
 
 class TestVerify:
     def test_pipeline_verifies(self, fixture_files):
@@ -334,6 +343,17 @@ class TestVerify:
         report.unlink()
         (run_dir / "summary.json").unlink()
         assert main(argv) == 0
+        assert report.read_bytes() == want
+
+    def test_manifest_may_be_the_ground_truth_file(self, fixture_files):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        argv = ["verify", str(data_dir), str(run_dir), "--eps", "1e-2"]
+        report = run_dir / "verify_report.json"
+        assert main(argv) == 0
+        want = report.read_bytes()
+        report.unlink()
+        assert main(argv + ["--manifest", str(phi0)]) == 0
         assert report.read_bytes() == want
 
     def test_truncated_run_csv_exits_2(self, fixture_files, capsys):

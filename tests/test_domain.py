@@ -18,9 +18,8 @@ from moirl.domain import (
 
 
 def ts(*pairs):
-    return TrajectorySet(
-        trajectories=tuple(Trajectory(iid, np.array(a, dtype=float)) for iid, a in pairs)
-    )
+    ids, actions = zip(*pairs)
+    return TrajectorySet(ids, np.array(actions, dtype=float))
 
 
 class TestValidate:
@@ -77,27 +76,29 @@ SMALL = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 0.5])
 
 @st.composite
 def decision_data(draw):
-    """Instances of mixed dimension and trajectories that hit and miss them:
-    unknown ids, wrong dimensions, absent actions and matches up to the
-    sign of a zero."""
+    """Instances of mixed dimension and trajectories of one action width,
+    some instance's if there are any, that hit and miss them: unknown ids,
+    wrong dimensions, absent actions and matches up to the sign of a zero."""
     instances = {}
     for iid in draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4)):
         d = draw(st.integers(1, 3))
         rows = draw(st.lists(st.lists(SMALL, min_size=d, max_size=d),
                              min_size=1, max_size=6))
         instances[iid] = make_instance(iid, rows)
-    trajs = []
+    d = draw(st.sampled_from(sorted({inst.dim for inst in instances.values()})
+                             or [1, 2, 3]))
+    ids, actions = [], []
     for _ in range(draw(st.integers(1, 12))):
         iid = draw(st.sampled_from("abcde"))
         inst = instances.get(iid)
-        if inst is not None and draw(st.booleans()):
+        if inst is not None and inst.dim == d and draw(st.booleans()):
             action = inst.actions[draw(st.integers(0, inst.actions.shape[0] - 1))]
             action = np.where(action == 0, draw(SMALL) * 0, action)  # any zero sign
         else:
-            d = draw(st.integers(1, 3))
             action = draw(st.lists(SMALL, min_size=d, max_size=d))
-        trajs.append(Trajectory(iid, np.array(action, dtype=float)))
-    return TrajectorySet(trajectories=tuple(trajs)), instances
+        ids.append(iid)
+        actions.append(action)
+    return TrajectorySet(ids, np.array(actions, dtype=float)), instances
 
 
 class TestPackedValidation:
@@ -113,16 +114,13 @@ class TestPackedValidation:
         if validate_loop(data, instances):
             with pytest.raises(ValueError, match="invalid trajectory data"):
                 checked_decisions(data, instances)
-        elif len({inst.dim for inst in insts}) > 1:
-            with pytest.raises(ValueError, match="mixed dimensions"):
-                checked_decisions(data, instances)
         else:
             store, expert = checked_decisions(data, instances)
             want = pack(insts)
             assert store.actions.tobytes() == want.actions.tobytes()
             assert np.array_equal(store.starts, want.starts)
             assert np.array_equal(store.sizes, want.sizes)
-            assert expert.tobytes() == np.stack([t.action for t in data]).tobytes()
+            assert expert.tobytes() == data.actions.tobytes()
 
     def test_one_instance_store_is_its_actions(self):
         inst = make_instance("a", [[0.0, 1.0], [2.0, 3.0]])
@@ -285,6 +283,18 @@ class TestMakeInstances:
         with pytest.raises(ValueError, match=message):
             make_instances(ids, actions, sizes)
 
+    @pytest.mark.parametrize("ids, sizes, states, message", [
+        (["a"], [2, 2], None, "1 ids, 2 sizes"),
+        (["a", "b", "c"], [2, 2], None, "3 ids, 2 sizes"),
+        (["a", "b"], [2, 2], [None], "2 ids, 2 sizes and 1 states"),
+    ])
+    def test_rejects_count_mismatch_before_sorting(self, sort_calls, ids, sizes,
+                                                   states, message):
+        # Both segments are unsorted, so building them would sort.
+        with pytest.raises(ValueError, match=message):
+            make_instances(ids, [[3, 4], [1, 2], [5, 6], [0, 0]], sizes, states)
+        assert sort_calls == []
+
 
 class TestFeasibleSets:
     def test_box_requires_ordered_bounds(self):
@@ -306,5 +316,28 @@ class TestFeasibleSets:
 
 
 def test_trajectory_set_rejects_empty():
-    with pytest.raises(ValueError):
-        TrajectorySet(trajectories=())
+    with pytest.raises(ValueError, match="nonempty"):
+        TrajectorySet((), np.empty((0, 2)))
+
+
+class TestTrajectorySet:
+    def test_holds_read_only_actions_and_yields_rows(self):
+        data = TrajectorySet(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+        assert data.instance_ids == ("a", "b")
+        assert not data.actions.flags.writeable
+        assert len(data) == 2
+        assert [(t.instance_id, t.action.tolist()) for t in data] == [
+            ("a", [1.0, 2.0]), ("b", [3.0, 4.0])]
+        assert all(isinstance(t, Trajectory) for t in data)
+
+    @pytest.mark.parametrize("ids, actions, message", [
+        (("a", "b"), [1.0, 2.0], "nonempty"),
+        (("a",), np.empty((1, 0)), "nonempty"),
+        (("a", "b"), [[1.0, 2.0], [1.0]], "sequence"),
+        (("a",), [[1.0], [2.0]], "1 instance ids for 2 actions"),
+        (("a", "b", "c"), [[1.0], [2.0]], "3 instance ids for 2 actions"),
+    ], ids=["one-dimensional", "zero-width", "ragged", "too-few-ids",
+            "too-many-ids"])
+    def test_rejects_malformed(self, ids, actions, message):
+        with pytest.raises(ValueError, match=message):
+            TrajectorySet(ids, actions)

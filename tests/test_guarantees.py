@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import grid_weights, objective_runs, random_problem
 from moirl import guarantees
-from moirl.domain import Ball, Trajectory, TrajectorySet, make_instance
+from moirl.domain import Ball, TrajectorySet, make_instance
 from moirl.guarantees import (
     GapReport,
     GuaranteeViolation,
@@ -57,7 +57,7 @@ class TestRewardGapReport:
 
     def test_hypothesis_violation_names_decision(self):
         inst = make_instance("a", [[0.0], [1.0]])
-        data = TrajectorySet((Trajectory("a", np.array([0.0])),))
+        data = TrajectorySet(["a"], [[0.0]])
         # phi0 = +1 makes the solver pick 1, not the recorded 0.
         with pytest.raises(GuaranteeViolation, match="expert action 0"):
             reward_gap_report(np.array([1.0]), np.array([1.0]), data, {"a": inst})

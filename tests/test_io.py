@@ -7,7 +7,7 @@ from conftest import mutated_entries, random_problem
 from hypothesis import given, settings, strategies as st
 
 from moirl import io as mio
-from moirl.domain import Ball, Box, Simplex, Trajectory, TrajectorySet, make_instance
+from moirl.domain import Ball, Box, Simplex, TrajectorySet, make_instance
 from moirl.learner import RunConfig, RunLog, StepSchedule
 
 
@@ -239,10 +239,7 @@ class TestSchemaFastPath:
 
 class TestTrajectoryRoundTrip:
     def test_save_load_identity(self, tmp_path):
-        ts = TrajectorySet((
-            Trajectory("a", np.array([0.1, -2.5])),
-            Trajectory("b", np.array([1e-17, 3.0])),
-        ))
+        ts = TrajectorySet(["a", "b"], [[0.1, -2.5], [1e-17, 3.0]])
         p = tmp_path / "traj.json"
         mio.save_trajectories(ts, p)
         loaded = mio.load_trajectories(p)
@@ -257,6 +254,13 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(mio.SchemaError) as exc:
             mio.load_trajectories(p)
         assert "/0/action/1" in str(exc.value)
+
+    def test_ragged_actions_named(self, tmp_path):
+        p = tmp_path / "ragged.json"
+        p.write_text(json.dumps([{"instance_id": "x", "action": [1, 2]},
+                                 {"instance_id": "y", "action": [1]}]))
+        with pytest.raises(mio.SchemaError, match="^/1/action: length 1, expected 2$"):
+            mio.load_trajectories(p)
 
 
 def loop_load_instances(path):
@@ -282,17 +286,21 @@ def loop_load_trajectories(path):
     data = mio.load_json(path)
     if not isinstance(data, list):
         raise mio.SchemaError("", "expected an array of trajectory objects")
-    trajs = []
+    ids, actions = [], []
     for i, entry in enumerate(data):
         ptr = f"/{i}"
         iid = mio._field(entry, "instance_id", ptr)
         if not isinstance(iid, str):
             raise mio.SchemaError(f"{ptr}/instance_id", "expected a string")
         action = mio._vector(mio._field(entry, "action", ptr), f"{ptr}/action")
-        trajs.append(Trajectory(instance_id=iid, action=action))
-    if not trajs:
+        if actions and len(action) != len(actions[0]):
+            raise mio.SchemaError(f"{ptr}/action",
+                                  f"length {len(action)}, expected {len(actions[0])}")
+        ids.append(iid)
+        actions.append(action)
+    if not ids:
         raise mio.SchemaError("", "trajectory file must contain at least one entry")
-    return TrajectorySet(trajectories=tuple(trajs))
+    return TrajectorySet(ids, np.array(actions))
 
 
 FILE_NUMBERS = st.one_of(

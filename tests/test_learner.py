@@ -9,7 +9,6 @@ from moirl import learner
 from moirl.domain import (
     Ball,
     Box,
-    Trajectory,
     TrajectorySet,
     checked_decisions,
     make_instance,
@@ -28,7 +27,7 @@ from moirl.solvers import solve
 def single_choice_problem():
     """One instance with actions {0, 1}; expert takes 0 (optimal for phi0=-1)."""
     inst = make_instance("a", [[0.0], [1.0]])
-    data = TrajectorySet((Trajectory("a", np.array([0.0])),))
+    data = TrajectorySet(["a"], [[0.0]])
     return {"a": inst}, data
 
 
@@ -49,7 +48,7 @@ class TestObjective:
 
     def test_invalid_data_rejected(self):
         inst = make_instance("a", [[0.0], [1.0]])
-        bad = TrajectorySet((Trajectory("a", np.array([7.0])),))
+        bad = TrajectorySet(["a"], [[7.0]])
         with pytest.raises(ValueError, match="invalid trajectory data"):
             objective_value(np.array([1.0]), bad, {"a": inst})
 
@@ -195,7 +194,7 @@ class TestTrain:
 
     def test_non_finite_objective_raises_before_it_is_logged(self):
         inst = make_instance("a", [[1.5e308, 0.0], [-1.5e308, 1.0]])
-        data = TrajectorySet((Trajectory("a", np.array([1.5e308, 0.0])),))
+        data = TrajectorySet(["a"], [[1.5e308, 0.0]])
         fs = Ball(center=np.zeros(2), radius=1.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="not finite at iteration 1"):
