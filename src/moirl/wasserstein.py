@@ -2,7 +2,9 @@
 plus the linear-family lower bound used by the action-imitation argument.
 
 Both measures put mass 1/N on each of N points, so the optimal coupling
-is an assignment; we solve it exactly with the Hungarian method.
+is an assignment.  Shared mass stays in place (Villani 2009, ch. 5-6), so
+the Hungarian method runs only on the k points left over on each side; where
+several assignments are optimal, the value can move in the last ulp.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ def _as_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    if arr.ndim != 2 or min(arr.shape) < 1:
         raise ValueError("empirical measure needs a nonempty (N, d) point array")
+    if not np.isfinite(arr).all():
+        raise ValueError("empirical measure points must be finite")
     return arr
 
 
@@ -35,9 +39,21 @@ def w1_exact(mu, nu) -> float:
     b = _as_points(nu)
     if a.shape != b.shape:
         raise ValueError(f"measure size mismatch: {a.shape} vs {b.shape}")
-    cost = cdist(a, b)
+    both = np.concatenate([a, b])
+    order = np.lexsort(both.T[::-1])
+    pts = both[order]
+    new = (pts[1:] != pts[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    net = np.add.reduceat(np.where(order < len(a), 1, -1), starts)
+    if not net.any():
+        return 0.0
+    cost = cdist(np.repeat(pts[starts], np.maximum(net, 0), axis=0),
+                 np.repeat(pts[starts], np.maximum(-net, 0), axis=0))
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    # N terms, zeros for the shared mass: summed as an all-points mean is.
+    costs = np.zeros(len(a))
+    costs[: len(rows)] = cost[rows, cols]
+    return float(costs.mean())
 
 
 def linear_dual_lower_bound(mu, nu, f_lip: float = 1.0) -> float:

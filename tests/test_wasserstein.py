@@ -1,8 +1,13 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
+from moirl import wasserstein
 from moirl.wasserstein import linear_dual_lower_bound, w1_exact
 
 
@@ -16,6 +21,39 @@ def brute_w1(mu, nu):
         cost = sum(np.linalg.norm(mu[i] - nu[p]) for i, p in enumerate(perm)) / n
         best = min(best, cost)
     return best
+
+
+def all_points_w1(mu, nu):
+    """Hungarian assignment over all N x N point pairs."""
+    cost = cdist(mu, nu)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
+
+
+# Small integers so that points repeat, signed zeros, and a few
+# non-dyadic values whose distances round.
+COORD = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 0.1, 1 / 3, -2.7])
+
+
+@st.composite
+def measure_pairs(draw):
+    """Two (N, d) point arrays; ``nu`` is a shuffled copy of ``mu`` with
+    some rows redrawn, so that they share much of their mass, all of it,
+    or little."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 4))
+    rows = st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=n, max_size=n)
+    mu = np.array(draw(rows))
+    nu = mu[draw(st.permutations(range(n)))]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        nu[i] = draw(st.lists(COORD, min_size=d, max_size=d))
+    return mu, nu
+
+
+def same_multiset(mu, nu):
+    def count(pts):
+        return Counter(map(tuple, (pts + 0.0).tolist()))  # + 0.0 turns -0.0 into 0.0
+
+    return count(mu) == count(nu)
 
 
 class TestW1Exact:
@@ -37,6 +75,42 @@ class TestW1Exact:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             w1_exact(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_empty_measure_or_point_rejected(self, shape):
+        with pytest.raises(ValueError, match="nonempty"):
+            w1_exact(np.zeros(shape), np.zeros(shape))
+
+    @given(measure_pairs())
+    @settings(max_examples=300)
+    def test_matches_all_points_assignment(self, pair):
+        mu, nu = pair
+        w1 = w1_exact(mu, nu)
+        assert w1 == pytest.approx(all_points_w1(mu, nu), rel=1e-12, abs=0)
+        assert (w1 == 0.0) == same_multiset(mu, nu)
+        assert w1_exact(nu, mu) == pytest.approx(w1, rel=1e-12, abs=0)
+
+    def test_permuted_copy_needs_no_assignment(self, monkeypatch):
+        def no_assignment(cost):
+            raise AssertionError(f"assignment solved on {cost.shape}")
+
+        monkeypatch.setattr(wasserstein, "linear_sum_assignment", no_assignment)
+        rng = np.random.default_rng(3)
+        pts = rng.integers(-5, 6, size=(3000, 3)).astype(float)
+        assert w1_exact(pts, pts[rng.permutation(3000)]) == 0.0
+
+    def test_assigns_only_unshared_points(self, monkeypatch):
+        shapes = []
+
+        def recording(cost):
+            shapes.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(wasserstein, "linear_sum_assignment", recording)
+        mu = [[0.0], [1.0], [2.0], [2.0], [2.0]]
+        nu = [[2.0], [-0.0], [5.0], [2.0], [7.0]]  # leaves 1, 2 against 5, 7
+        assert w1_exact(mu, nu) == pytest.approx((4.0 + 5.0) / 5)
+        assert shapes == [(2, 2)]
 
     def test_metric_axioms_on_random_triples(self):
         rng = np.random.default_rng(1)
@@ -86,3 +160,12 @@ class TestLinearDualLowerBound:
         with pytest.raises(ValueError):
             linear_dual_lower_bound([[0.0]], [[1.0]], f_lip=0.0)
 
+
+@pytest.mark.parametrize("fn", [w1_exact, linear_dual_lower_bound])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(fn, bad):
+    good = [[0.0, 1.0], [2.0, 3.0]]
+    for mu, nu in (([[0.0, bad], [2.0, 3.0]], good), (good, [[0.0, 1.0], [bad, 3.0]]),
+                   ([[bad, 0.0]], [[bad, 0.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            fn(mu, nu)
