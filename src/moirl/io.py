@@ -281,8 +281,16 @@ def load_trajectories(path) -> TrajectorySet:
 
 
 def save_trajectories(ts: TrajectorySet, path) -> None:
-    save_json([{"instance_id": iid, "action": action}
-               for iid, action in zip(ts.instance_ids, ts.actions.tolist())], path)
+    """Write trajectories in ``json.dump(..., indent=2)``'s layout, plus a
+    newline, with one ``%`` format as in ``save_instances``: only the ids go
+    through ``json``, and each action number is written as its ``repr``."""
+    d = ts.actions.shape[1]
+    entry = ('  {\n    "instance_id": %s,\n    "action": [\n'
+             + ",\n".join(["      %r"] * d) + "\n    ]\n  }")
+    values = [v for iid, row in zip(ts.instance_ids, ts.actions.tolist())
+              for v in (json.dumps(iid), *row)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("[\n" + ",\n".join([entry] * len(ts)) % tuple(values) + "\n]\n")
 
 
 # -- feasible sets, run configs, manifests ------------------------------------

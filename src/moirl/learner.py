@@ -145,6 +145,8 @@ def train(
     objective and subgradient are logged, then the next iterate is the
     projection of the subgradient step back onto the feasible set.  A
     non-finite objective or subgradient raises ValueError, unlogged.
+    At an exact fixed point (zero subgradient, projected step bit-equal to
+    the iterate) solving stops, but all ``max_iters`` rows are still logged.
     """
     return train_packed(*checked_decisions(data, instances), feasible, phi1, cfg)
 
@@ -156,7 +158,10 @@ def train_packed(
     phi1=None,
     cfg: RunConfig = RunConfig(),
 ) -> RunLog:
-    """``train`` on the decisions that ``checked_decisions`` validated and packed."""
+    """``train`` on the decisions that ``checked_decisions`` validated and packed.
+
+    Rows after an exact fixed point are copies of its row, not solved.
+    """
     d = store.dim
     if phi1 is None:
         phi = project(feasible, np.zeros(d))
@@ -179,6 +184,14 @@ def train_packed(
         if cfg.target_eps is not None and obj < cfg.target_eps:
             break
         if k < cfg.max_iters:
-            phi = project(feasible, phi - cfg.schedule.step(k) * g)
+            nxt = project(feasible, phi - cfg.schedule.step(k) * g)
+            # g == 0 gives every later step these bits: each logs this row.
+            if not g.any() and nxt.tobytes() == phi.tobytes():
+                rest = cfg.max_iters - k
+                phis += [phi] * rest
+                objs += [obj] * rest
+                gnorms += [gnorm] * rest
+                break
+            phi = nxt
 
     return RunLog(np.stack(phis), np.array(objs), np.array(gnorms))

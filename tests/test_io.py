@@ -237,6 +237,31 @@ class TestSchemaFastPath:
             mio.load_instances(p)
 
 
+@st.composite
+def trajectory_sets(draw):
+    """Decisions with repeated ids, ids that JSON must escape, and
+    ``-0.0``, subnormal and large-magnitude numbers."""
+    d = draw(st.integers(1, 4))
+    ids = st.text(max_size=6) | st.sampled_from(['"', "\\", 'q"\\"', "é\n", "日本"])
+    numbers = NUMBERS | st.sampled_from([-5e-324, 2.2250738585072014e-308,
+                                         1e-310, -1.7976931348623157e308, 1e300])
+    rows = draw(st.lists(st.tuples(ids, st.lists(numbers, min_size=d, max_size=d)),
+                         min_size=1, max_size=12))
+    return TrajectorySet([iid for iid, _ in rows], [row for _, row in rows])
+
+
+class TestSaveTrajectoriesLayout:
+    @given(trajectory_sets())
+    @settings(max_examples=150)
+    def test_bytes_equal_save_json(self, tmp_path_factory, ts):
+        p = tmp_path_factory.mktemp("traj")
+        mio.save_trajectories(ts, p / "direct.json")
+        mio.save_json([{"instance_id": iid, "action": row}
+                       for iid, row in zip(ts.instance_ids, ts.actions.tolist())],
+                      p / "json.json")
+        assert (p / "direct.json").read_bytes() == (p / "json.json").read_bytes()
+
+
 class TestTrajectoryRoundTrip:
     def test_save_load_identity(self, tmp_path):
         ts = TrajectorySet(["a", "b"], [[0.1, -2.5], [1e-17, 3.0]])

@@ -2,13 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import objective_runs, random_problem
 from moirl import learner
 from moirl.domain import (
     Ball,
     Box,
+    Simplex,
     TrajectorySet,
     checked_decisions,
     make_instance,
@@ -21,7 +22,8 @@ from moirl.learner import (
     train,
 )
 from moirl.projection import project
-from moirl.solvers import solve
+from moirl.solvers import solve, solve_packed
+from moirl.synth import expert_trajectories, random_instances
 
 
 def single_choice_problem():
@@ -29,6 +31,11 @@ def single_choice_problem():
     inst = make_instance("a", [[0.0], [1.0]])
     data = TrajectorySet(["a"], [[0.0]])
     return {"a": inst}, data
+
+
+def solve_calls():
+    """Patch ``train``'s batched solver with a wrapper that counts calls."""
+    return mock.patch.object(learner, "solve_packed", wraps=solve_packed)
 
 
 class TestObjective:
@@ -100,7 +107,10 @@ class TestTrain:
     def test_fixed_point_at_ground_truth(self, unit_ball2):
         instances, data, phi0, _ = random_problem(seed=21)
         cfg = RunConfig(max_iters=10, tie_tol=0.0)
-        log = train(data, instances, unit_ball2, phi1=phi0, cfg=cfg)
+        with solve_calls() as calls:
+            log = train(data, instances, unit_ball2, phi1=phi0, cfg=cfg)
+        assert calls.call_count == 1  # the other nine rows copy the first
+        assert log.iters_run == 10
         assert log.best_objective == 0.0
         assert np.all(log.objectives == 0.0)
         assert np.all(log.weights == phi0)
@@ -251,3 +261,104 @@ class TestBestIterate:
         assert log.best_iteration == best_k
         assert repr(log.best_objective) == repr(float(best_obj))
         assert log.best_weights.tobytes() == best_phi.tobytes()
+
+
+def plain_loop(instances, data, feasible, phi1, cfg):
+    """``train``'s loop with one ``solve`` per decision at every iteration,
+    as in ``test_matches_reference_loop_over_solve``, plus the target_eps
+    stop: the reference for the fixed-point shortcut."""
+    insts = [instances[t.instance_id] for t in data]
+    expert = np.stack([t.action for t in data])
+    phi, phis, objs, gnorms = phi1, [], [], []
+    for k in range(1, cfg.max_iters + 1):
+        chosen = np.stack([solve(phi, inst, cfg.tie_tol).chosen for inst in insts])
+        g = (chosen - expert).mean(axis=0)
+        phis.append(phi)
+        objs.append(float(g @ phi))
+        gnorms.append(float(np.linalg.norm(g)))
+        if cfg.target_eps is not None and objs[-1] < cfg.target_eps:
+            break
+        phi = project(feasible, phi - cfg.schedule.step(k) * g)
+    return np.stack(phis), np.array(objs), np.array(gnorms)
+
+
+def assert_same_log(log, ref):
+    weights, objectives, grad_norms = ref
+    assert log.weights.tobytes() == weights.tobytes()
+    assert log.objectives.tobytes() == objectives.tobytes()
+    assert log.grad_norms.tobytes() == grad_norms.tobytes()
+
+
+@st.composite
+def fixed_point_runs(draw):
+    """A problem planted at ground truth phi0 inside a box, ball or simplex,
+    a start at phi0 (a fixed point from k = 1) or at a random feasible
+    point, and a run config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    dim = draw(st.integers(2, 4))
+    instances = random_instances(rng, draw(st.integers(1, 6)), dim,
+                                 draw(st.integers(1, 8)), -5, 5)
+    if kind == "simplex":
+        # A dyadic point of the simplex, which its projection keeps bit for bit.
+        feasible, phi0 = Simplex(dim), np.zeros(dim)
+        phi0[rng.integers(dim)] += 0.5
+        phi0[rng.integers(dim)] += 0.5
+    else:
+        feasible = (Box(lo=-np.ones(dim), hi=np.ones(dim)) if kind == "box"
+                    else Ball(center=np.zeros(dim), radius=1.0))
+        u = rng.normal(size=dim)
+        phi0 = 0.8 * u / np.linalg.norm(u)
+    phi1 = phi0 if draw(st.booleans()) else project(feasible, rng.normal(size=dim))
+    cfg = RunConfig(
+        schedule=StepSchedule(draw(st.sampled_from(["inverse_sqrt", "harmonic"])),
+                              draw(st.sampled_from([0.05, 0.5, 2.0]))),
+        max_iters=draw(st.integers(1, 60)),
+        target_eps=draw(st.sampled_from([None, 1e-3, 0.1])),
+    )
+    return instances, expert_trajectories(phi0, instances), feasible, phi1, cfg
+
+
+class TestFixedPointShortcut:
+    """Once the iterate is an exact fixed point, ``train`` logs the
+    remaining rows without solving; the log equals the plain loop's."""
+
+    @given(fixed_point_runs())
+    @settings(max_examples=150)
+    def test_matches_plain_loop(self, run):
+        instances, data, feasible, phi1, cfg = run
+        log = train(data, instances, feasible, phi1=phi1, cfg=cfg)
+        assert_same_log(log, plain_loop(instances, data, feasible, phi1, cfg))
+        assert log.weights.flags.writeable and log.weights.base is None
+
+    @pytest.mark.parametrize("feasible, phi1", [
+        (Simplex(3), [0.1, 0.2, 0.7]),  # moved by a few ulps
+        (Box(lo=np.zeros(3), hi=np.ones(3)), [-0.0, 0.5, 1.0]),  # -0.0 becomes 0.0
+    ], ids=["simplex-ulps", "box-signed-zero"])
+    def test_zero_subgradient_alone_does_not_stop_solving(self, feasible, phi1):
+        # One action per instance: g is 0 at every phi.  The projection
+        # changes the bits of this start, so the second iterate differs
+        # from the first and must be solved; the third equals the second.
+        instances = {i: make_instance(i, [[float(n), 1.0 - n, 2.0]])
+                     for n, i in enumerate("abc")}
+        data = expert_trajectories(np.ones(3), instances)
+        phi1 = np.array(phi1)
+        assert project(feasible, phi1).tobytes() != phi1.tobytes()
+        cfg = RunConfig(max_iters=8)
+        with solve_calls() as calls:
+            log = train(data, instances, feasible, phi1=phi1, cfg=cfg)
+        assert calls.call_count == 2
+        assert_same_log(log, plain_loop(instances, data, feasible, phi1, cfg))
+
+    def test_projection_fixed_point_alone_does_not_stop_solving(self):
+        # g = (1, 1, 1) at every phi.  Its step is projected back onto the
+        # simplex, to phi's own bits at some step sizes but not at others.
+        instances = {"a": make_instance("a", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])}
+        data = TrajectorySet(["a"], [[0.0, 0.0, 0.0]])
+        simplex = Simplex(3)
+        phi1 = project(simplex, np.array([0.1, 0.2, 0.7]))
+        cfg = RunConfig(max_iters=40)
+        with solve_calls() as calls:
+            log = train(data, instances, simplex, phi1=phi1, cfg=cfg)
+        assert calls.call_count == 40
+        assert_same_log(log, plain_loop(instances, data, simplex, phi1, cfg))
