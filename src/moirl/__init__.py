@@ -27,7 +27,6 @@ from .solvers import (
     ArgmaxResult,
     KnapsackSpec,
     knapsack_instance,
-    lex_min,
     polytope_vertex_instance,
     solve,
 )
@@ -40,7 +39,7 @@ __all__ = [
     "RunConfig", "RunLog", "StepSchedule", "objective_value", "subgradient",
     "train",
     "contains", "project",
-    "ArgmaxResult", "KnapsackSpec", "knapsack_instance", "lex_min",
+    "ArgmaxResult", "KnapsackSpec", "knapsack_instance",
     "polytope_vertex_instance", "solve",
     "linear_dual_lower_bound", "w1_exact",
 ]

@@ -135,6 +135,9 @@ def cmd_verify(args) -> int:
     }
     mio.save_json(out_obj, run_dir / "verify_report.json")
 
+    # F(0) = 0 and every gap is 0 at phi = 0, whatever the expert did.
+    if not np.any(log.best_weights):
+        raise GuaranteeViolation("best weights are zero, which imitate nothing")
     if k_eps is None:
         raise GuaranteeViolation("eps not reached")
     if not report.within_budget(eps):

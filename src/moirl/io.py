@@ -35,13 +35,11 @@ __all__ = [
     "load_trajectories",
     "save_trajectories",
     "load_feasible_set",
-    "save_feasible_set",
     "load_run_config",
     "load_train_config",
     "load_ground_truth",
     "load_json",
     "save_json",
-    "save_run_config",
     "load_manifest",
     "save_manifest",
     "write_runlog_csv",
@@ -326,10 +324,6 @@ def load_feasible_set(path) -> FeasibleSet:
     return feasible_set_from_obj(load_json(path))
 
 
-def save_feasible_set(fs: FeasibleSet, path) -> None:
-    save_json(feasible_set_to_obj(fs), path)
-
-
 def load_run_config(path) -> RunConfig:
     return load_train_config(path)[0]
 
@@ -353,18 +347,6 @@ def load_train_config(path) -> tuple[RunConfig, np.ndarray | None]:
         tie_tol=_number(obj.get("tie_tol", 0.0), "/tie_tol"),
     )
     return cfg, None if phi1 is None else _vector(phi1, "/phi1")
-
-
-def save_run_config(cfg: RunConfig, path) -> None:
-    save_json(
-        {
-            "schedule": {"kind": cfg.schedule.kind, "alpha0": cfg.schedule.alpha0},
-            "max_iters": cfg.max_iters,
-            "target_eps": cfg.target_eps,
-            "tie_tol": cfg.tie_tol,
-        },
-        path,
-    )
 
 
 def _ground_truth(obj) -> tuple[np.ndarray, FeasibleSet | None]:

@@ -1,7 +1,7 @@
 """Forward solvers: maximize a scalarized linear objective over a finite
 action set, breaking ties by taking the lexicographically smallest
-maximizer.  ``solve`` handles one instance; ``solve_packed`` handles a
-whole decision list packed once by ``domain.pack``.  Also instance generators
+maximizer.  ``solve_packed`` handles a whole decision list packed once by
+``domain.pack``; ``solve`` is its one-instance case.  Also instance generators
 for explicit sets, 0/1 knapsacks, and polytope vertex lists.
 """
 
@@ -16,7 +16,6 @@ from .domain import Instance, PackedInstances, as_weights, make_instance
 __all__ = [
     "ArgmaxResult",
     "KnapsackSpec",
-    "lex_min",
     "solve",
     "solve_packed",
     "knapsack_instance",
@@ -31,20 +30,6 @@ MAX_KNAPSACK_ITEMS = 20
 KNAPSACK_BLOCK = 2**14  # packings enumerated per block
 
 
-def lex_min(candidates) -> np.ndarray:
-    """Return the minimum of the candidate vectors under lexicographic order.
-
-    Coordinates are compared left to right; the order is total on any
-    finite set, so the minimum is unique among distinct vectors.
-    """
-    arr = np.asarray(candidates, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError("empty candidate set")
-    # np.lexsort keys are compared last-first, so feed columns reversed.
-    order = np.lexsort(arr.T[::-1])
-    return arr[order[0]].copy()
-
-
 @dataclass(frozen=True)
 class ArgmaxResult:
     """Outcome of maximizing weights . action over an instance's actions."""
@@ -54,54 +39,63 @@ class ArgmaxResult:
     chosen: np.ndarray  # lexicographic minimum of optimal_set
 
 
-def solve(phi, inst: Instance, tie_tol: float = DEFAULT_TIE_TOL) -> ArgmaxResult:
-    """Maximize ``phi . a`` over ``inst.actions``, lexicographic tie-break.
+def _argmax_segments(phi, store: PackedInstances, tie_tol: float):
+    """Each segment's maximum score, the rows within tie tolerance of their
+    segment's maximum, and each segment's first such row (row indices).
 
-    With ``tie_tol > 0`` the optimal set contains every action within
-    ``tie_tol * max(1, |optimal_value|)`` of the maximum; ``tie_tol=0``
-    gives the exact argmax (meaningful when scores are exact floats,
-    e.g. integer actions with dyadic-rational weights).
-    """
-    w = as_weights(phi, inst.dim)
-    if tie_tol < 0:
-        raise ValueError("tie tolerance must be nonnegative")
-    scores = inst.actions @ w
-    best = float(scores.max())
-    scale = max(1.0, abs(best))
-    tied = inst.actions[scores >= best - tie_tol * scale]
-    return ArgmaxResult(optimal_value=best, optimal_set=tied, chosen=lex_min(tied))
-
-
-def solve_packed(
-    phi, store: PackedInstances, tie_tol: float = DEFAULT_TIE_TOL
-) -> np.ndarray:
-    """``solve(phi, inst, tie_tol).chosen`` for every packed instance at once.
-
-    Returns an (N, d) array of chosen actions.  One ``actions @ phi``
-    product scores every row; each segment's maximum and tie threshold
-    follow ``solve``, and its first row at or above the threshold is the
-    lexicographic minimum of the optimal set, because actions are in
-    canonical order.  The choice equals ``solve``'s whenever each row
-    scores the same in the packed array as in its instance's own array:
-    always for exact scores, e.g. integer actions with dyadic weights.
-    With inexact scores a BLAS may round a row's dot product differently
-    by its position in the array, and then two actions whose exact
-    scores tie can be broken differently.
+    One ``actions @ phi`` product scores every row.  With ``tie_tol > 0``
+    a row ties if it scores at least ``best - tie_tol * max(1, |best|)``;
+    ``tie_tol=0`` gives the exact argmax (meaningful when scores are
+    exact floats, e.g. integer actions with dyadic-rational weights).
+    Actions are in canonical order, so a segment's first tied row is the
+    lexicographic minimum of its optimal set.
     """
     w = as_weights(phi, store.dim)
     if not tie_tol >= 0:
         raise ValueError("tie tolerance must be nonnegative")
     scores = store.actions @ w
-    threshold = np.maximum.reduceat(scores, store.starts)
+    best = np.maximum.reduceat(scores, store.starts)
+    threshold = best
     if tie_tol > 0:
-        threshold = threshold - tie_tol * np.maximum(1.0, np.abs(threshold))
+        threshold = best - tie_tol * np.maximum(1.0, np.abs(best))
     tied = np.flatnonzero(scores >= np.repeat(threshold, store.sizes))
     first = np.searchsorted(tied, store.starts)
     # Without a tied row of its own (NaN scores), a segment would get the
     # next segment's first one.
     if first[-1] == tied.size or np.any(tied[first] >= store.starts + store.sizes):
         raise ValueError("empty candidate set")
-    return store.actions[tied[first]]
+    return best, tied, tied[first]
+
+
+_ONE_START = np.zeros(1, dtype=np.intp)
+
+
+def solve(phi, inst: Instance, tie_tol: float = DEFAULT_TIE_TOL) -> ArgmaxResult:
+    """Maximize ``phi . a`` over ``inst.actions``, lexicographic tie-break.
+
+    The one-instance case of ``solve_packed``: the same kernel on a store
+    that holds ``inst.actions`` itself, so the scores, the tie threshold
+    and the choice are those of ``solve_packed(phi, pack([inst]), tie_tol)``
+    bit for bit.  The optimal set holds every action within
+    ``tie_tol * max(1, |optimal_value|)`` of the maximum.
+    """
+    store = PackedInstances(inst.actions, _ONE_START, np.array([len(inst.actions)]))
+    best, tied, first = _argmax_segments(phi, store, tie_tol)
+    return ArgmaxResult(float(best[0]), inst.actions[tied], inst.actions[first[0]].copy())
+
+
+def solve_packed(phi, store: PackedInstances, tie_tol: float) -> np.ndarray:
+    """``solve(phi, inst, tie_tol).chosen`` for every packed instance at
+    once, as an (N, d) array scored by one product over the whole store.
+
+    Across several instances the choice equals ``solve``'s whenever each
+    row scores the same in the packed array as in its instance's own
+    array: always for exact scores, e.g. integer actions with dyadic
+    weights.  With inexact scores a BLAS may round a row's dot product by
+    its position in the array (OpenBLAS does at d >= 8), and then two
+    actions whose exact scores tie can be broken differently.
+    """
+    return store.actions[_argmax_segments(phi, store, tie_tol)[2]]
 
 
 @dataclass(frozen=True)

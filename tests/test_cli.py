@@ -411,6 +411,31 @@ class TestVerify:
         assert code == 3
         assert "eps not reached" in capsys.readouterr().err
 
+    # F(0) = 0, so a run whose best iterate is phi = 0 meets every other
+    # check whatever the expert did; verify must not certify it.
+    @pytest.mark.parametrize("feasible_obj, extra", [
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+         {"max_iters": 200}),
+        ({"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+         {"max_iters": 1, "phi1": [0.0, 0.0]}),
+    ], ids=["ball-without-phi1", "box-zero-phi1"])
+    def test_zero_best_weights_exit_3(self, fixture_files, capsys,
+                                      feasible_obj, extra):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        write_json(feasible, feasible_obj)
+        write_json(config, {"schedule": {"kind": "inverse_sqrt", "alpha0": 0.5},
+                            "tie_tol": 0.0, **extra})
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["best_iteration"] == 1
+        assert not any(summary["best_phi"])
+        capsys.readouterr()
+        code = main(["verify", str(data_dir), str(run_dir), "--eps", "0.05"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err == ["error:GUARANTEE: best weights are zero, which imitate nothing"]
+        assert (run_dir / "verify_report.json").exists()
+
 
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):

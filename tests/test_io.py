@@ -419,15 +419,18 @@ class TestWholeFileLoad:
 
 
 class TestFeasibleSetRoundTrip:
-    @pytest.mark.parametrize("fs", [
-        Box(lo=np.array([-1.0, 0.0]), hi=np.array([1.0, 2.5])),
-        Ball(center=np.array([0.0, 0.5]), radius=1.25),
-        Simplex(dimension=3),
+    @pytest.mark.parametrize("obj, fs", [
+        ({"kind": "box", "lo": [-1.0, 0.0], "hi": [1.0, 2.5]},
+         Box(lo=np.array([-1.0, 0.0]), hi=np.array([1.0, 2.5]))),
+        ({"kind": "ball", "center": [0.0, 0.5], "radius": 1.25},
+         Ball(center=np.array([0.0, 0.5]), radius=1.25)),
+        ({"kind": "simplex", "dim": 3}, Simplex(dimension=3)),
     ], ids=["box", "ball", "simplex"])
-    def test_round_trip(self, tmp_path, fs):
+    def test_round_trip(self, tmp_path, obj, fs):
         p = tmp_path / "fs.json"
-        mio.save_feasible_set(fs, p)
+        p.write_text(json.dumps(obj))
         assert mio.load_feasible_set(p) == fs
+        assert mio.feasible_set_to_obj(fs) == obj
 
     def test_unknown_kind(self, tmp_path):
         p = tmp_path / "fs.json"
@@ -445,7 +448,12 @@ class TestRunConfigRoundTrip:
             tie_tol=1e-9,
         )
         p = tmp_path / "cfg.json"
-        mio.save_run_config(cfg, p)
+        p.write_text(json.dumps({
+            "schedule": {"kind": "harmonic", "alpha0": 0.75},
+            "max_iters": 123,
+            "target_eps": 1e-3,
+            "tie_tol": 1e-9,
+        }))
         assert mio.load_run_config(p) == cfg
 
     def test_absent_target_eps(self, tmp_path):

@@ -14,7 +14,6 @@ from moirl.domain import (
 from moirl.solvers import (
     KnapsackSpec,
     knapsack_instance,
-    lex_min,
     polytope_vertex_instance,
     solve,
     solve_packed,
@@ -32,22 +31,30 @@ def brute_solve(phi, actions):
 
 
 class TestLexMin:
+    """The tie-break: at zero weights every action ties, so ``solve``
+    chooses the lexicographic minimum of the whole action set."""
+
+    @staticmethod
+    def chosen_at_zero(rows):
+        inst = make_instance("a", rows)
+        return solve(np.zeros(inst.dim), inst, tie_tol=0.0).chosen
+
     def test_three_vector_tie_set(self):
         # {(0,0), (1,-1), (-1,1)}: the first component decides.
         assert np.array_equal(
-            lex_min([[0, 0], [1, -1], [-1, 1]]), np.array([-1.0, 1.0])
+            self.chosen_at_zero([[0, 0], [1, -1], [-1, 1]]), np.array([-1.0, 1.0])
         )
 
     def test_singleton(self):
-        assert np.array_equal(lex_min([[5.0]]), np.array([5.0]))
+        assert np.array_equal(self.chosen_at_zero([[5.0]]), np.array([5.0]))
 
     def test_later_components_break_ties(self):
-        out = lex_min([[1, 2, 3], [1, 2, 2], [1, 1, 9]])
+        out = self.chosen_at_zero([[1, 2, 3], [1, 2, 2], [1, 1, 9]])
         assert np.array_equal(out, np.array([1.0, 1.0, 9.0]))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty candidate set"):
-            lex_min(np.empty((0, 2)))
+        with pytest.raises(ValueError, match="nonempty"):
+            self.chosen_at_zero(np.empty((0, 2)))
 
 
 class TestSolve:
@@ -162,6 +169,11 @@ def packed_problems(draw, dims, weights):
     return insts, phi, draw(st.sampled_from([0.0, 1e-9, 0.3]))
 
 
+def solve_one_packed(phi, inst, tie_tol):
+    """``solve_packed`` on a store of ``inst`` alone, as one row."""
+    return solve_packed(phi, pack([inst]), tie_tol)[0]
+
+
 def assert_packed_matches_solve(insts, phi, tie_tol):
     got = solve_packed(phi, pack(insts), tie_tol)
     want = np.stack([solve(phi, inst, tie_tol).chosen for inst in insts])
@@ -182,6 +194,46 @@ class TestSolvePacked:
     @settings(max_examples=100)
     def test_matches_solve_on_exact_scores(self, problem):
         assert_packed_matches_solve(*problem)
+
+    # ``solve`` is the kernel on a store holding the instance's own array,
+    # so it agrees with ``solve_packed`` and with the direct formula (one
+    # product, its maximum, and every row at or above the threshold) bit
+    # for bit at any dimension, inexact scores included.
+    @given(packed_problems(st.integers(5, 12), NON_DYADIC))
+    @settings(max_examples=100)
+    def test_solve_is_the_one_instance_case(self, problem):
+        insts, phi, tie_tol = problem
+        for inst in insts:
+            r = solve(phi, inst, tie_tol)
+            assert r.chosen.tobytes() == solve_one_packed(phi, inst, tie_tol).tobytes()
+            scores = inst.actions @ phi
+            best = float(scores.max())
+            tied = inst.actions[scores >= best - tie_tol * max(1.0, abs(best))]
+            assert repr(r.optimal_value) == repr(best)
+            assert r.optimal_set.tobytes() == tied.tobytes()
+            assert r.chosen.tobytes() == np.array(min(tied.tolist())).tobytes()
+
+    def test_nan_tie_tol_rejected_as_by_solve_packed(self):
+        inst = make_instance("a", [[0.0], [1.0]])
+        for call in (solve, solve_one_packed):
+            with pytest.raises(ValueError, match="tie tolerance"):
+                call(np.array([1.0]), inst, np.nan)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_overflowing_score(self):
+        # The top score overflows to inf.  At tie_tol=0 the threshold is
+        # inf itself, and the overflowing row is chosen; at tie_tol > 0 it
+        # is inf - inf = NaN, and no row ties.
+        inst = make_instance("a", [[1.0], [1e308]])
+        phi = np.array([10.0])
+        r = solve(phi, inst, tie_tol=0.0)
+        assert r.optimal_value == np.inf
+        assert r.optimal_set.tolist() == [[1e308]]
+        assert r.chosen.tolist() == [1e308]
+        assert solve_one_packed(phi, inst, 0.0).tolist() == [1e308]
+        for call in (solve, solve_one_packed):
+            with pytest.raises(ValueError, match="empty candidate set"):
+                call(phi, inst, 1e-9)
 
     def test_directly_built_instance_is_canonical(self):
         rows = [[1, 0], [0, 1], [1, 0], [-1, 1], [0, 1]]
