@@ -1,14 +1,19 @@
 """JSON/CSV loading and saving for all on-disk formats.
 
-All files are UTF-8 with LF newlines; floats serialize in shortest
-round-trip decimal form (Python's float repr), so save -> load is
-bit-identical and repeated saves of the same data are byte-identical.
+All JSON and CSV files are UTF-8 with LF newlines; floats serialize in
+shortest round-trip decimal form (Python's float repr), so save -> load
+is bit-identical and repeated saves of the same data are byte-identical.
+``instances.json`` may have a binary copy next to it, ``instances.npz``,
+which ``load_instances`` reads instead while it matches the file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import zipfile
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -182,15 +187,60 @@ def _instance_table(data):
     return ids, actions, list(map(len, matrices)), states
 
 
+def _sha256(path) -> bytes:
+    return hashlib.sha256(Path(path).read_bytes()).digest()
+
+
+def _sidecar_path(path) -> Path:
+    """Where ``save_instances`` keeps the binary copy of ``path``:
+    ``instances.json`` -> ``instances.npz``."""
+    return Path(path).with_suffix(".npz")
+
+
+# What reading a missing, truncated or foreign sidecar can raise.  It is
+# only a copy, so the JSON is read instead.
+_UNREADABLE = (OSError, EOFError, KeyError, TypeError, ValueError,
+               zipfile.BadZipFile)
+
+
+def _load_sidecar(path) -> dict[str, Instance] | None:
+    """The instances in ``path``'s binary copy, or None unless that copy
+    exists, reads without pickles and holds the SHA-256 of ``path``'s
+    current bytes, and its ids, states and arrays pass the checks that
+    the JSON path makes (``make_instances``'s included)."""
+    try:
+        with open(_sidecar_path(path), "rb") as fh, \
+                np.load(fh, allow_pickle=False) as npz:
+            if npz["sha256"].tobytes() != _sha256(path):
+                return None
+            ids, states = json.loads(npz["header"].tobytes().decode("utf-8"),
+                                     parse_constant=_reject_constant)
+            actions, sizes = npz["actions"], npz["sizes"]
+        if not (type(ids) is list and type(states) is list
+                and set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)):
+            return None
+        return dict(zip(ids, make_instances(ids, actions, sizes, states)))
+    except _UNREADABLE:
+        return None
+
+
 def load_instances(path) -> dict[str, Instance]:
     """Read ``instances.json``.
 
-    A file of objects with unique string ids and actions that are
-    nonempty lists of rows of one width is converted and canonicalised
-    in whole-file array passes.  Any other file goes through the
-    per-entry checks, which load each valid entry alone or name the
-    first fault.
+    If ``save_instances`` left a binary copy next to it (``instances.npz``)
+    that holds the SHA-256 of the file's current bytes, the instances are
+    built from that copy's arrays through the same ``make_instances``
+    checks, and the JSON text is not decoded.
+
+    Otherwise, a file of objects with unique string ids and actions that
+    are nonempty lists of rows of one width is converted and
+    canonicalised in whole-file array passes.  Any other file goes
+    through the per-entry checks, which load each valid entry alone or
+    name the first fault.
     """
+    cached = _load_sidecar(path)
+    if cached is not None:
+        return cached
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of instance objects")
@@ -218,35 +268,83 @@ def save_instances(instances: Mapping[str, Instance], path) -> None:
     """Write instances in ``json.dump(..., indent=2)``'s layout, plus a newline.
 
     Only each instance's ``id`` and ``state`` go through ``json``.  Its
-    actions are written with one ``%s`` format over the text of all of
-    their numbers.  That text is each number's ``repr``, as ``json``
-    writes a float, taken once per distinct bit pattern in the file
-    (``0.0`` and ``-0.0`` differ) from one ``np.unique`` over all the
-    coordinates.
+    actions are written as one join of the text of all of their numbers,
+    each followed by its separator.  That text is each number's ``repr``,
+    as ``json`` writes a float, taken once per distinct bit pattern in
+    the file (``0.0`` and ``-0.0`` differ) from one ``np.unique`` over
+    all the coordinates.
+
+    Then ``_save_sidecar`` puts a binary copy of the instances next to
+    the file, for ``load_instances``, or removes an old one.
     """
     insts = list(instances.values())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if not insts:
-            fh.write("[]\n")
-            return
-        bits = np.concatenate([inst.actions.ravel() for inst in insts]).view(np.uint64)
-        distinct, index = np.unique(bits, return_inverse=True)
-        texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-        del bits, distinct
-        sep, end = "[\n  {\n", 0
-        for inst in insts:
-            # json escapes newlines inside strings, so every "\n" here
-            # starts a line, and indenting it nests the value.
+        _write_instances(insts, fh)
+    _save_sidecar(insts, path)
+
+
+def _write_instances(insts: list[Instance], fh) -> None:
+    """``save_instances``' text of ``insts``, written to ``fh``."""
+    if not insts:
+        fh.write("[]\n")
+        return
+    bits = np.concatenate([inst.actions.ravel() for inst in insts]).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    del bits, distinct
+    # Each number's text followed by what comes next: within a row, and
+    # after a row's last number.
+    in_row, row_end = texts + ",\n        ", texts + "\n      ],\n      [\n        "
+    sep, end = "[\n  {\n", 0
+    for inst in insts:
+        # json escapes newlines inside strings, so every "\n" here starts
+        # a line, and indenting it nests the value.  Only a container
+        # needs the indent, which makes json use its pure-Python encoder.
+        if isinstance(inst.state, (dict, list, tuple)):
             state = json.dumps(inst.state, indent=2).replace("\n", "\n    ")
-            fh.write(f'{sep}    "id": {json.dumps(inst.id)},\n    "state": {state},\n')
-            n, d = inst.actions.shape
-            row = "      [\n" + ",\n".join(["        %s"] * d) + "\n      ]"
-            start, end = end, end + n * d
-            fh.write('    "actions": [\n')
-            fh.write(",\n".join([row] * n) % tuple(texts[index[start:end]]))
-            fh.write("\n    ]\n  }")
-            sep = ",\n  {\n"
-        fh.write("\n]\n")
+        else:
+            state = json.dumps(inst.state)
+        fh.write(f'{sep}    "id": {json.dumps(inst.id)},\n    "state": {state},\n')
+        n, d = inst.actions.shape
+        start, end = end, end + n * d
+        cells = in_row[index[start:end]].reshape(n, d)
+        cells[:, -1] = row_end[index[start + d - 1 : end : d]]
+        cells[-1, -1] = texts[index[end - 1]] + "\n      ]\n    ]\n  }"
+        fh.write('    "actions": [\n      [\n        ')
+        fh.write("".join(cells.ravel().tolist()))
+        sep = ",\n  {\n"
+    fh.write("\n]\n")
+
+
+def _save_sidecar(insts: list[Instance], path) -> None:
+    """Write ``path``'s binary copy (``instances.npz``) when ``insts`` is
+    nonempty, of one action width and with unique string ids, or else
+    remove any old copy.
+
+    The copy holds the SHA-256 of ``path``'s bytes, the packed (rows, d)
+    actions, the rows per instance, and the ids and states as JSON text.
+    It is written to a temporary file that then replaces the old copy.
+    """
+    sidecar = _sidecar_path(path)
+    if sidecar == Path(path):
+        return
+    ids = [inst.id for inst in insts]
+    widths = {inst.dim for inst in insts}
+    if not (len(widths) == 1 and set(map(type, ids)) == {str}
+            and len(set(ids)) == len(ids)):
+        sidecar.unlink(missing_ok=True)
+        return
+    header = json.dumps([ids, [inst.state for inst in insts]]).encode("utf-8")
+    tmp = sidecar.with_suffix(f".{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, sha256=np.frombuffer(_sha256(path), np.uint8),
+                     actions=np.concatenate([inst.actions for inst in insts]),
+                     sizes=np.array([len(inst.actions) for inst in insts]),
+                     header=np.frombuffer(header, np.uint8))
+        os.replace(tmp, sidecar)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_trajectories(path) -> TrajectorySet:

@@ -58,13 +58,14 @@ def _argmax_segments(phi, store: PackedInstances, tie_tol: float):
     threshold = best
     if tie_tol > 0:
         threshold = best - tie_tol * np.maximum(1.0, np.abs(best))
-    tied = np.flatnonzero(scores >= np.repeat(threshold, store.sizes))
-    first = np.searchsorted(tied, store.starts)
-    # Without a tied row of its own (NaN scores), a segment would get the
-    # next segment's first one.
-    if first[-1] == tied.size or np.any(tied[first] >= store.starts + store.sizes):
+    # A segment ties no row exactly when its threshold is NaN: a NaN score
+    # makes its maximum NaN, an overflow to +inf with tie_tol > 0 gives
+    # inf - inf, and any other threshold is at most the maximum.  Such a
+    # segment would get the next segment's first tied row.
+    if np.isnan(threshold).any():
         raise ValueError("empty candidate set")
-    return best, tied, tied[first]
+    tied = np.flatnonzero(scores >= np.repeat(threshold, store.sizes))
+    return best, tied, tied[np.searchsorted(tied, store.starts)]
 
 
 _ONE_START = np.zeros(1, dtype=np.intp)

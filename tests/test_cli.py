@@ -333,6 +333,22 @@ class TestVerify:
         report = json.loads((run_dir / "verify_report.json").read_text())
         assert set(report) == {"gaps", "F", "eps", "bound_eN", "equivalence"}
 
+    def test_outputs_do_not_depend_on_instances_npz(self, fixture_files):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        outputs = {}
+        for run in ("with", "without"):
+            if run == "without":
+                (data_dir / "instances.npz").unlink()
+            run_dir = tmp_path / run
+            assert main(["train", str(data_dir), str(feasible), str(config),
+                         "--out", str(run_dir)]) == 0
+            assert main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"]) == 0
+            outputs[run] = {name: (run_dir / name).read_bytes() for name in (
+                "run.csv", "summary.json", "gap_report.json", "verify_report.json")}
+        assert outputs["with"] == outputs["without"]
+
     def test_report_does_not_depend_on_summary_json(self, fixture_files):
         tmp_path, spec, phi0, feasible, config = fixture_files
         data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)

@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,7 +130,13 @@ class TestSaveInstancesLayout:
         {"a": make_instance("a", [[1e22], [-0.0], [5e-324], [3.0]])},
         {"é\n": make_instance("é\n", [[0.1, -2.0, 7.0]],
                                state={"k": ["ü", None, {"x": "a\nb"}], "n": 1.5})},
-    ], ids=["empty", "d1", "one-row-nested-state"])
+        {"a": make_instance("a", [[1.0, 2.0]], state=[{"k": [1, {}]}, [], (2, "x")]),
+         "b": make_instance("b", [[0.5, -0.0]], state=[])},
+        {"a": make_instance("a", [[1.0]], state="line\n\"q\"\tü"),
+         "b": make_instance("b", [[2.0]], state={}),
+         "c": make_instance("c", [[3.0]], state=-0.0)},
+    ], ids=["empty", "d1", "one-row-nested-state", "nested-state-in-a-list",
+            "scalar-string-state"])
     def test_edge_cases(self, tmp_path, instances):
         p = tmp_path / "instances.json"
         mio.save_instances(instances, p)
@@ -567,3 +576,186 @@ class TestManifest:
         p.write_text(json.dumps({"phi0": [1.0], "seed": seed}))
         with pytest.raises(mio.SchemaError, match="/seed"):
             mio.load_manifest(p)
+
+
+def sidecar_of(path):
+    return path.with_suffix(".npz")
+
+
+def write_sidecar(path, **arrays):
+    """Rewrite ``path``'s sidecar with ``arrays`` in place of its own, under
+    the SHA-256 of ``path``'s current bytes."""
+    with np.load(sidecar_of(path)) as npz:
+        fields = {name: npz[name] for name in npz.files}
+    fields["sha256"] = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(),
+                                     np.uint8)
+    fields.update(arrays)
+    with open(sidecar_of(path), "wb") as fh:
+        np.savez(fh, **fields)
+
+
+def load_result(path):
+    """``loaded``, plus each action array's write flag."""
+    out = loaded(mio.load_instances, path)
+    if isinstance(out, list):
+        flags = [inst.actions.flags.writeable
+                 for inst in mio.load_instances(path).values()]
+        out = [(*entry[:4], repr(entry[4]), flag) for entry, flag in zip(out, flags)]
+    return out
+
+
+def json_load_result(path):
+    """``load_result`` of the instance file alone, without its sidecar."""
+    alone = path.parent / "alone"
+    alone.mkdir(exist_ok=True)
+    shutil.copyfile(path, alone / path.name)
+    return load_result(alone / path.name)
+
+
+class TestSidecar:
+    """The binary copy that ``save_instances`` writes next to the file
+    gives what the JSON gives, and is used only while it is valid."""
+
+    @staticmethod
+    def check_against_json(path, instances):
+        sidecar = sidecar_of(path)
+        widths = {inst.dim for inst in instances.values()}
+        assert sidecar.exists() == (len(widths) == 1)
+        text = path.read_text(encoding="utf-8")
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            with_sidecar = load_result(path)
+        decoded = [call.args[0] == text for call in loads.call_args_list]
+        assert any(decoded) != sidecar.exists()
+        sidecar.unlink(missing_ok=True)
+        assert with_sidecar == load_result(path)
+        assert [entry[0] for entry in with_sidecar] == list(instances)
+        assert all(entry[-1] is False for entry in with_sidecar)
+
+    @given(instance_maps())
+    @settings(max_examples=150)
+    def test_agrees_with_json(self, tmp_path_factory, instances):
+        p = tmp_path_factory.mktemp("sidecar") / "instances.json"
+        mio.save_instances(instances, p)
+        self.check_against_json(p, instances)
+
+    @given(shared_value_maps())
+    @settings(max_examples=100)
+    def test_shared_values_agree_with_json(self, tmp_path_factory, instances):
+        p = tmp_path_factory.mktemp("sidecar") / "instances.json"
+        mio.save_instances(instances, p)
+        self.check_against_json(p, instances)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        instances = {
+            "a": make_instance("a", [[0.5, -1.25], [3.0, 2.0], [-0.0, 1.0]],
+                               state={"k": [1, None]}),
+            "b": make_instance("b", [[0.1, 0.2]], state="s"),
+        }
+        p = tmp_path / "data" / "instances.json"
+        p.parent.mkdir()
+        mio.save_instances(instances, p)
+        assert sidecar_of(p).exists()
+        return p
+
+    def assert_json_result(self, path):
+        want = json_load_result(path)
+        assert load_result(path) == want
+        return want
+
+    def test_edited_instance_file(self, saved):
+        text = saved.read_text()
+        saved.write_text(text.replace("0.5", "0.7", 1))
+        self.assert_json_result(saved)
+        assert mio.load_instances(saved)["a"].actions[1].tolist() == [0.7, -1.25]
+
+    def test_sidecar_of_other_instances(self, saved, tmp_path):
+        stale = tmp_path / "stale.npz"
+        shutil.copyfile(sidecar_of(saved), stale)
+        mio.save_instances({"c": make_instance("c", [[9.0, 9.0]])}, saved)
+        shutil.copyfile(stale, sidecar_of(saved))
+        assert [entry[0] for entry in self.assert_json_result(saved)] == ["c"]
+
+    def test_truncated_sidecar(self, saved):
+        data = sidecar_of(saved).read_bytes()
+        for size in (0, 10, len(data) // 2, len(data) - 1):
+            sidecar_of(saved).write_bytes(data[:size])
+            self.assert_json_result(saved)
+
+    @pytest.mark.parametrize("kind", ["npy", "pickle", "text", "directory"])
+    def test_not_an_archive(self, saved, kind):
+        sidecar = sidecar_of(saved)
+        sidecar.unlink()
+        if kind in ("npy", "pickle"):
+            with sidecar.open("wb") as fh:
+                np.save(fh, np.arange(3.0) if kind == "npy"
+                        else np.array([{}], dtype=object))
+        elif kind == "text":
+            sidecar.write_text("[]\n")
+        else:
+            sidecar.mkdir()
+        self.assert_json_result(saved)
+
+    def test_object_array(self, saved):
+        actions = np.empty((4, 2), dtype=object)
+        actions[:] = 1.0
+        write_sidecar(saved, actions=actions)
+        self.assert_json_result(saved)
+
+    @pytest.mark.parametrize("edit", ["nan", "inf", "unsorted"])
+    def test_bad_actions_behind_matching_digest(self, saved, edit):
+        with np.load(sidecar_of(saved)) as npz:
+            actions = npz["actions"].copy()
+        if edit == "nan":
+            actions[1, 0] = np.nan
+        elif edit == "inf":
+            actions[3, 1] = -np.inf
+        else:
+            actions[:3] = actions[2::-1]
+        write_sidecar(saved, actions=actions)
+        self.assert_json_result(saved)
+
+    @pytest.mark.parametrize("sizes", [[3, 2], [2, 1], [4], [3, 1, 0], [[3, 1]]])
+    def test_sizes_not_matching_rows(self, saved, sizes):
+        write_sidecar(saved, sizes=np.array(sizes))
+        self.assert_json_result(saved)
+
+    @pytest.mark.parametrize("ids", [["a", "a"], ["a", 2], "xy", ["a"]])
+    def test_bad_ids(self, saved, ids):
+        text = json.dumps([ids, [{"k": [1, None]}, "s"]])
+        write_sidecar(saved, header=np.frombuffer(text.encode(), np.uint8))
+        self.assert_json_result(saved)
+
+    def test_missing_array(self, saved):
+        with np.load(sidecar_of(saved)) as npz:
+            fields = {name: npz[name] for name in npz.files if name != "sizes"}
+        with open(sidecar_of(saved), "wb") as fh:
+            np.savez(fh, **fields)
+        self.assert_json_result(saved)
+
+    def test_nan_state_rejected_as_by_json(self, tmp_path):
+        p = tmp_path / "instances.json"
+        mio.save_instances({"a": make_instance("a", [[1.0]], state=[float("nan")])}, p)
+        assert sidecar_of(p).exists()
+        with pytest.raises(mio.SchemaError) as exc:
+            mio.load_instances(p)
+        assert str(exc.value) == json_load_result(p)[1]
+        assert str(exc.value) == ": non-finite number NaN is not allowed"
+
+    def test_file_named_like_its_sidecar(self, tmp_path):
+        p = tmp_path / "instances.npz"
+        instances = {"a": make_instance("a", [[1.0, 2.0]])}
+        mio.save_instances(instances, p)
+        assert p.read_bytes() == json_dump_bytes(instances)
+        assert [entry[0] for entry in load_result(p)] == ["a"]
+
+    @pytest.mark.parametrize("instances", [
+        {},
+        {"a": make_instance("a", [[1.0]]), "b": make_instance("b", [[1.0, 2.0]])},
+        {"a": make_instance("a", [[1.0]]), "b": make_instance("a", [[2.0]])},
+    ], ids=["empty", "mixed-widths", "duplicate-ids"])
+    def test_no_sidecar_and_no_stale_one(self, saved, instances):
+        mio.save_instances(instances, saved)
+        assert not sidecar_of(saved).exists()
+        assert sorted(p.name for p in saved.parent.iterdir()) == ["instances.json"]
+        self.assert_json_result(saved)

@@ -174,6 +174,24 @@ def solve_one_packed(phi, inst, tie_tol):
     return solve_packed(phi, pack([inst]), tie_tol)[0]
 
 
+OVERFLOWING = st.sampled_from([1e308, -1e308, 5e307, -5e307, 0.0, 1.0])
+
+
+def segment_choices(phi, store, tie_tol):
+    """Each segment's first row whose score in ``store.actions @ phi``
+    reaches its segment's tie threshold, as bytes, or None if no row does
+    (a NaN score or threshold), one segment at a time."""
+    scores = store.actions @ phi
+    out = []
+    for start, size in zip(store.starts, store.sizes):
+        seg = scores[start : start + size]
+        best = seg.max()  # NaN if any score is NaN
+        threshold = best - tie_tol * max(1.0, abs(best)) if tie_tol > 0 else best
+        tied = np.flatnonzero(seg >= threshold)
+        out.append(store.actions[start + tied[0]].tobytes() if tied.size else None)
+    return out
+
+
 def assert_packed_matches_solve(insts, phi, tie_tol):
     got = solve_packed(phi, pack(insts), tie_tol)
     want = np.stack([solve(phi, inst, tie_tol).chosen for inst in insts])
@@ -276,6 +294,40 @@ class TestSolvePacked:
         )
         with pytest.raises(ValueError, match="empty candidate set"):
             solve_packed(np.array([1.0]), store, tie_tol=0.0)
+
+    # Under weights (2, 2), a row of +-1e308 scores inf, -inf or
+    # inf - inf = NaN.  A segment holding a NaN score ties nothing, and
+    # one whose top score is inf ties nothing at tie_tol > 0.  The oracle
+    # reads the kernel's own product: a BLAS may fuse a row's multiply
+    # and add, so a row's score can differ between stores.
+    @given(st.lists(st.lists(st.lists(OVERFLOWING, min_size=2, max_size=2),
+                             min_size=1, max_size=4), min_size=1, max_size=4),
+           st.sampled_from([0.0, 1e-9]))
+    @example([[[1e308, -1e308], [0.0, 1.0]], [[1.0, 0.0]]], 0.0)
+    @example([[[1.0, 0.0]], [[1e308, 1e308], [1.0, 0.0]]], 1e-9)
+    @example([[[1e308, 1e308], [1.0, 0.0]]], 0.0)
+    @example([[[-1e308, -1e308]], [[-1e308, -1e308], [-1e308, -5e307]]], 1e-9)
+    @settings(max_examples=200)
+    def test_overflowing_scores_rejected_exactly_where_no_row_ties(self, sets,
+                                                                  tie_tol):
+        insts = [make_instance(f"i{n}", rows) for n, rows in enumerate(sets)]
+        phi = np.array([2.0, 2.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for inst in insts:
+                choice = segment_choices(phi, pack([inst]), tie_tol)[0]
+                if choice is None:
+                    with pytest.raises(ValueError, match="empty candidate set"):
+                        solve(phi, inst, tie_tol)
+                else:
+                    assert solve(phi, inst, tie_tol).chosen.tobytes() == choice
+            store = pack(insts)
+            want = segment_choices(phi, store, tie_tol)
+            if None in want:
+                with pytest.raises(ValueError, match="empty candidate set"):
+                    solve_packed(phi, store, tie_tol)
+            else:
+                got = solve_packed(phi, store, tie_tol)
+                assert [row.tobytes() for row in got] == want
 
 
 class TestKnapsack:
