@@ -69,15 +69,9 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mio.write_runlog_csv(log, out / "run.csv")
     mio.write_summary(log, out / "summary.json")
-
-    manifest_path = data_dir / "manifest.json"
-    if manifest_path.exists():
-        phi0, _ = mio.load_ground_truth(manifest_path)
-        report = reward_gap_report_packed(
-            log.best_weights, phi0, store, expert, tie_tol=cfg.tie_tol
-        )
-        mio.save_json({"gaps": report.gaps.tolist(), "F": report.objective},
-                      out / "gap_report.json")
+    report = reward_gap_report_packed(log.best_weights, store, expert)
+    mio.save_json({"gaps": report.gaps.tolist(), "F": report.objective},
+                  out / "gap_report.json")
     print(
         f"trained {log.iters_run} iterations; best F = {log.best_objective!r} "
         f"at iteration {log.best_iteration}"
@@ -102,7 +96,9 @@ def cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     instances = mio.load_instances(data_dir / "instances.json")
     data = mio.load_trajectories(data_dir / "expert_trajectories.json")
-    phi0, _ = mio.load_ground_truth(args.manifest or data_dir / "manifest.json")
+    manifest = Path(args.manifest or data_dir / "manifest.json")
+    phi0 = (mio.load_ground_truth(manifest)[0]
+            if args.manifest or manifest.exists() else None)
     log = mio.read_runlog_csv(run_dir / "run.csv")
     eps = args.eps
     n = len(data)
@@ -183,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--eps", type=float, required=True)
     v.add_argument("--manifest", default=None,
                    help="ground-truth file, manifest.json or phi0.json "
-                   "(default: data_dir/manifest.json)")
+                   "(default: data_dir/manifest.json if it exists)")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -1,10 +1,12 @@
 """Executable checks of the imitation guarantees.
 
-Given ground-truth weights that generated the expert data, these report
-per-decision reward gaps, locate the iteration at which a run's best
-iterate meets a reward-imitation budget, and test the three-way
+Every check compares candidate weights with the expert's decisions: it
+reports per-decision reward gaps, locates the iteration at which a run's
+best iterate meets a reward-imitation budget, and tests the three-way
 equivalence between a vanishing subgradient, identical actions, and zero
-Wasserstein distance.
+Wasserstein distance.  Ground-truth weights ``phi0`` are optional: when
+given, a check first confirms that the exact solver under ``phi0``
+reproduces every expert action, and raises ``GuaranteeViolation`` if not.
 """
 
 from __future__ import annotations
@@ -44,24 +46,27 @@ class GuaranteeViolation(AssertionError):
     """A guarantee that should hold on well-formed data failed."""
 
 
-def _expert_truth(phi0, store: PackedInstances, expert) -> np.ndarray:
-    """The exact solver's actions under ``phi0``, after checking that they
-    reproduce every expert action."""
-    truth = solve_packed(phi0, store, tie_tol=0.0)
-    wrong = np.flatnonzero(np.any(truth != expert, axis=1))
-    if wrong.size:
-        n = int(wrong[0])
-        raise GuaranteeViolation(
-            f"expert action {n} is not the solver output for the given "
-            f"ground-truth weights: got {expert[n].tolist()}, "
-            f"solver returns {truth[n].tolist()}"
-        )
-    return truth
+def _decisions(phi0, data, instances):
+    """``checked_decisions``'s store and expert actions.  When ``phi0`` is
+    not None, first checks that the exact solver under ``phi0`` reproduces
+    every expert action."""
+    store, expert = checked_decisions(data, instances)
+    if phi0 is not None:
+        truth = solve_packed(phi0, store, tie_tol=0.0)
+        wrong = np.flatnonzero(np.any(truth != expert, axis=1))
+        if wrong.size:
+            n = int(wrong[0])
+            raise GuaranteeViolation(
+                f"expert action {n} is not the solver output for the given "
+                f"ground-truth weights: got {expert[n].tolist()}, "
+                f"solver returns {truth[n].tolist()}"
+            )
+    return store, expert
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Per-decision reward gaps of candidate weights vs the ground truth."""
+    """Per-decision reward gaps of candidate weights vs the expert's actions."""
 
     gaps: np.ndarray  # (N,) each >= 0 up to dust
     objective: float  # mean of gaps
@@ -79,26 +84,24 @@ def reward_gap_report(
     """Gap, per decision, between the reward phi gives its own optimal
     action and the reward it gives the expert's action.
 
-    Requires the expert data to be generated by the solver under
-    ``phi0``; each gap is nonnegative and their mean is the training
-    objective at ``phi``.
+    Each gap is nonnegative and their mean is the training objective at
+    ``phi``.  ``phi0`` may be None; otherwise the expert data must be the
+    exact solver's output under it.
     """
-    store, expert = checked_decisions(data, instances)
-    return reward_gap_report_packed(phi, phi0, store, expert, tie_tol)
+    store, expert = _decisions(phi0, data, instances)
+    return reward_gap_report_packed(phi, store, expert, tie_tol)
 
 
 def reward_gap_report_packed(
-    phi, phi0, store: PackedInstances, expert: np.ndarray, tie_tol: float = 0.0
+    phi, store: PackedInstances, expert: np.ndarray, tie_tol: float = 0.0
 ) -> GapReport:
     """``reward_gap_report`` on the decisions that ``checked_decisions``
-    validated and packed."""
-    _expert_truth(phi0, store, expert)
-    return _gap_report(phi, store, expert, tie_tol)
-
-
-def _gap_report(phi, store: PackedInstances, expert, tie_tol: float) -> GapReport:
+    validated and packed, with no ground-truth check."""
     w = as_weights(phi, store.dim)
-    chosen = solve_packed(w, store, tie_tol)
+    return _gaps(w, solve_packed(w, store, tie_tol), expert)
+
+
+def _gaps(w: np.ndarray, chosen: np.ndarray, expert: np.ndarray) -> GapReport:
     # One dot product per row, so each gap rounds as ``w @ action`` does.
     gaps = np.array([float(w @ a - w @ e) for a, e in zip(chosen, expert)])
     if np.any(gaps < -DUST):
@@ -112,11 +115,12 @@ def _gap_report(phi, store: PackedInstances, expert, tie_tol: float) -> GapRepor
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Independent evaluations of the three equivalent completion criteria."""
+    """The three completion criteria, each comparing the exact solver's
+    actions under the candidate weights (the learner's) with the expert's."""
 
-    subgrad_zero: bool  # sum of per-decision action differences is exactly 0
-    actions_equal: bool  # solver output matches the expert on every decision
-    w1_zero: bool  # exact W1 between the two action distributions is 0
+    subgrad_zero: bool  # sum over decisions of learner - expert is exactly 0
+    actions_equal: bool  # learner's action equals the expert's on every decision
+    w1_zero: bool  # exact W1 between the learner's and the expert's actions is 0
 
     @property
     def unanimous(self) -> bool:
@@ -129,18 +133,18 @@ def equivalence_check(
     """Evaluate the three completion criteria independently at ``phi``.
 
     Runs with exact tie-breaking (tie_tol = 0); meaningful on instances
-    whose scores are exact in floating point.
+    whose scores are exact in floating point.  ``phi0`` may be None; the
+    criteria agree when some weights' exact solve gives the expert data.
     """
-    store, expert = checked_decisions(data, instances)
-    return _equivalence(phi, store, _expert_truth(phi0, store, expert))
+    store, expert = _decisions(phi0, data, instances)
+    return _equivalence(solve_packed(phi, store, tie_tol=0.0), expert)
 
 
-def _equivalence(phi, store: PackedInstances, truth) -> EquivalenceReport:
-    learner = solve_packed(phi, store, tie_tol=0.0)
+def _equivalence(learner: np.ndarray, expert: np.ndarray) -> EquivalenceReport:
     return EquivalenceReport(
-        subgrad_zero=bool(np.all((learner - truth).sum(axis=0) == 0.0)),
-        actions_equal=bool(np.all(learner == truth)),
-        w1_zero=w1_exact(learner, truth) == 0.0,
+        subgrad_zero=bool(np.all((learner - expert).sum(axis=0) == 0.0)),
+        actions_equal=bool(np.all(learner == expert)),
+        w1_zero=w1_exact(learner, expert) == 0.0,
     )
 
 
@@ -155,13 +159,11 @@ def corollary_check(
 
     At that best iterate, asserts every per-decision reward gap lies in
     [0, eps * N).  Returns the iteration index, or None if the run never
-    reaches the budget.
+    reaches the budget.  ``phi0`` may be None.
     """
     k = _first_below(log, eps)
     if k is not None:
-        store, expert = checked_decisions(data, instances)
-        _expert_truth(phi0, store, expert)
-        _check_budget(log, k, eps, store, expert)
+        _check_budget(log, k, eps, *_decisions(phi0, data, instances))
     return k
 
 
@@ -174,7 +176,7 @@ def _first_below(log: RunLog, eps: float) -> Optional[int]:
 
 def _check_budget(log: RunLog, k: int, eps: float, store, expert) -> None:
     # Iteration k is the first with F < eps, so its iterate is the best so far.
-    report = _gap_report(log.weights[k - 1], store, expert, 0.0)
+    report = reward_gap_report_packed(log.weights[k - 1], store, expert, 0.0)
     if not report.within_budget(eps):
         raise GuaranteeViolation(
             f"reward gap exceeds eps*N at iteration {k}: "
@@ -192,11 +194,12 @@ def verify_run(
 ) -> tuple[GapReport, Optional[int], EquivalenceReport]:
     """``reward_gap_report`` (``tie_tol`` 0), ``corollary_check`` and
     ``equivalence_check`` at ``phi``, raising in that order, on one
-    validated store and one exact solve under ``phi0``."""
-    store, expert = checked_decisions(data, instances)
-    truth = _expert_truth(phi0, store, expert)
-    report = _gap_report(phi, store, expert, 0.0)
+    validated store and one exact solve under ``phi``."""
+    store, expert = _decisions(phi0, data, instances)
+    w = as_weights(phi, store.dim)
+    learner = solve_packed(w, store, tie_tol=0.0)
+    report = _gaps(w, learner, expert)
     k = _first_below(log, eps)
     if k is not None:
         _check_budget(log, k, eps, store, expert)
-    return report, k, _equivalence(phi, store, truth)
+    return report, k, _equivalence(learner, expert)

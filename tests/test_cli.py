@@ -53,6 +53,16 @@ def run_pipeline(tmp_path, spec, phi0, feasible, config, run_name="run"):
     return data_dir, run_dir
 
 
+def swap_first_decision(data_dir):
+    """Replace expert decision 0 with another feasible action of its
+    instance, so that the ground truth no longer generates the data."""
+    instances = json.loads((data_dir / "instances.json").read_text())
+    trajs = json.loads((data_dir / "expert_trajectories.json").read_text())
+    inst = next(i for i in instances if i["id"] == trajs[0]["instance_id"])
+    trajs[0]["action"] = next(a for a in inst["actions"] if a != trajs[0]["action"])
+    write_json(data_dir / "expert_trajectories.json", trajs)
+
+
 class TestGenerate:
     def test_explicit_instance(self, tmp_path):
         spec = tmp_path / "problem.json"
@@ -135,6 +145,45 @@ class TestTrain:
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["best_F"] <= 1e-3
         assert (run_dir / "gap_report.json").exists()
+
+    def test_gap_report_breaks_ties_exactly(self, tmp_path, capsys):
+        # At tie_tol 1e-9 the solver takes [0, 0], which scores 2**-32
+        # below the expert's [1, -1]; the report uses the exact argmax.
+        spec, phi0, box, config = (tmp_path / f for f in (
+            "problem.json", "phi0.json", "box.json", "config.json"))
+        write_json(spec, {"instances": [
+            {"type": "explicit", "id": "a", "actions": [[0, 0], [1, -1]]}]})
+        write_json(phi0, {"phi0": [1.0, 0.5]})
+        write_json(box, {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]})
+        write_json(config, {"schedule": {"kind": "inverse_sqrt", "alpha0": 0.5},
+                            "max_iters": 1, "tie_tol": 1e-9,
+                            "phi1": [1 + 2**-32, 1.0]})
+        data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        capsys.readouterr()
+        assert main(["train", str(data_dir), str(box), str(config),
+                     "--out", str(run_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((run_dir / "gap_report.json").read_text())
+        assert report["gaps"] == [0.0]
+
+    def test_unrealizable_data_trains_with_and_without_manifest(self, fixture_files):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        swap_first_decision(data_dir)
+        outputs = {}
+        for run in ("with", "without"):
+            if run == "without":
+                (data_dir / "manifest.json").unlink()
+            run_dir = tmp_path / run
+            assert main(["train", str(data_dir), str(feasible), str(config),
+                         "--out", str(run_dir)]) == 0
+            outputs[run] = {name: (run_dir / name).read_bytes() for name in (
+                "run.csv", "summary.json", "gap_report.json")}
+        assert outputs["with"] == outputs["without"]
+        report = json.loads(outputs["with"]["gap_report.json"])
+        assert report["F"] > 0 and min(report["gaps"]) >= 0
 
     def test_single_iteration_single_row(self, fixture_files):
         tmp_path, spec, phi0, feasible, _ = fixture_files
@@ -338,16 +387,50 @@ class TestVerify:
         data_dir = tmp_path / "data"
         assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
         outputs = {}
-        for run in ("with", "without"):
+        for run in ("with", "without", "without_manifest"):
             if run == "without":
                 (data_dir / "instances.npz").unlink()
+            if run == "without_manifest":
+                (data_dir / "manifest.json").unlink()
             run_dir = tmp_path / run
             assert main(["train", str(data_dir), str(feasible), str(config),
                          "--out", str(run_dir)]) == 0
             assert main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"]) == 0
             outputs[run] = {name: (run_dir / name).read_bytes() for name in (
                 "run.csv", "summary.json", "gap_report.json", "verify_report.json")}
-        assert outputs["with"] == outputs["without"]
+        assert outputs["with"] == outputs["without"] == outputs["without_manifest"]
+
+    def test_negative_zero_expert_gives_the_same_reports(self, tmp_path):
+        # The solver returns [1, 0] for "b"; one expert file records it as
+        # [1.0, -0.0].
+        spec, phi0, feasible, config = (tmp_path / f for f in (
+            "problem.json", "phi0.json", "feasible.json", "config.json"))
+        write_json(spec, {"instances": [
+            {"type": "explicit", "id": "a", "actions": [[0, 0], [1, -1], [-1, 1]]},
+            {"type": "explicit", "id": "b", "actions": [[0, 1], [1, 0], [-1, -1]]},
+        ]})
+        write_json(phi0, {"phi0": [0.6, -0.8]})
+        write_json(feasible, {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0})
+        write_json(config, {"schedule": {"kind": "inverse_sqrt", "alpha0": 0.5},
+                            "max_iters": 200, "phi1": [-1.0, 0.0]})
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        expert = data_dir / "expert_trajectories.json"
+        assert json.loads(expert.read_text())[1]["action"] == [1.0, 0.0]
+        results = {}
+        for sign in ("0.0", "-0.0"):
+            if sign == "-0.0":
+                trajs = json.loads(expert.read_text())
+                trajs[1]["action"] = [1.0, -0.0]
+                write_json(expert, trajs)
+                assert "-0.0" in expert.read_text()
+            run_dir = tmp_path / sign
+            assert main(["train", str(data_dir), str(feasible), str(config),
+                         "--out", str(run_dir)]) == 0
+            code = main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"])
+            results[sign] = code, {name: (run_dir / name).read_bytes() for name in (
+                "run.csv", "summary.json", "gap_report.json", "verify_report.json")}
+        assert results["0.0"] == results["-0.0"]
 
     def test_report_does_not_depend_on_summary_json(self, fixture_files):
         tmp_path, spec, phi0, feasible, config = fixture_files
@@ -398,18 +481,47 @@ class TestVerify:
     def test_tampered_expert_file(self, fixture_files, capsys):
         tmp_path, spec, phi0, feasible, config = fixture_files
         data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
-        instances = json.loads((data_dir / "instances.json").read_text())
-        trajs = json.loads((data_dir / "expert_trajectories.json").read_text())
-        # Replace one expert action with a feasible but non-optimal action.
-        inst = next(i for i in instances if i["id"] == trajs[0]["instance_id"])
-        current = trajs[0]["action"]
-        trajs[0]["action"] = next(
-            a for a in inst["actions"] if a != current
-        )
-        write_json(data_dir / "expert_trajectories.json", trajs)
+        swap_first_decision(data_dir)
+        capsys.readouterr()
         code = main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"])
+        err = capsys.readouterr().err.splitlines()
         assert code == 3
-        assert capsys.readouterr().err.startswith("error:GUARANTEE:")
+        assert len(err) == 1 and err[0].startswith(
+            "error:GUARANTEE: expert action 0 is not the solver output")
+        assert not (run_dir / "verify_report.json").exists()
+
+    def test_unrealizable_data_without_manifest_exits_by_eps(self, fixture_files,
+                                                            capsys):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        swap_first_decision(data_dir)
+        (data_dir / "manifest.json").unlink()
+        run_dir = tmp_path / "run"
+        assert main(["train", str(data_dir), str(feasible), str(config),
+                     "--out", str(run_dir)]) == 0
+        best_f = json.loads((run_dir / "summary.json").read_text())["best_F"]
+        assert best_f > 0
+        capsys.readouterr()
+        argv = ["verify", str(data_dir), str(run_dir), "--eps"]
+        assert main(argv + ["1e3"]) == 0
+        report = json.loads((run_dir / "verify_report.json").read_text())
+        assert report["equivalence"] == {
+            "subgrad_zero": False, "actions_equal": False, "w1_zero": False}
+        assert capsys.readouterr().err == ""
+        assert main(argv + [repr(best_f / 2)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error:GUARANTEE: eps not reached"]
+
+    def test_missing_manifest_option_file_exits_4(self, fixture_files, capsys):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        capsys.readouterr()
+        code = main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2",
+                     "--manifest", str(tmp_path / "nope.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error:IO:")
 
     def test_unreached_eps_exits_3(self, fixture_files, capsys):
         tmp_path, spec, phi0, feasible, _ = fixture_files

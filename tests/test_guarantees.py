@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -62,6 +63,12 @@ class TestRewardGapReport:
         with pytest.raises(GuaranteeViolation, match="expert action 0"):
             reward_gap_report(np.array([1.0]), np.array([1.0]), data, {"a": inst})
 
+    def test_without_ground_truth_gaps_are_against_the_expert(self):
+        inst = make_instance("a", [[0.0], [1.0]])
+        data = TrajectorySet(["a"], [[0.0]])
+        report = reward_gap_report(np.array([1.0]), None, data, {"a": inst})
+        assert report.gaps.tolist() == [1.0]
+
 
 class TestEquivalenceCheck:
     def test_all_true_at_ground_truth(self):
@@ -84,6 +91,18 @@ class TestEquivalenceCheck:
                 assert (report.subgrad_zero, report.w1_zero) == (False, False)
                 return
         pytest.fail("no disagreeing weights found in grid scan")
+
+    def test_all_false_without_ground_truth_on_a_swapped_decision(self):
+        instances, data, phi0, _ = random_problem(seed=10, phi0_grid=True)
+        actions = data.actions.copy()
+        inst = instances[data.instance_ids[0]]
+        actions[0] = next(a for a in inst.actions if np.any(a != actions[0]))
+        swapped = TrajectorySet(data.instance_ids, actions)
+        with pytest.raises(GuaranteeViolation, match="expert action 0"):
+            equivalence_check(phi0, phi0, swapped, instances)
+        report = equivalence_check(phi0, None, swapped, instances)
+        assert (report.subgrad_zero, report.actions_equal, report.w1_zero) == (
+            False, False, False)
 
     def test_no_counterexample_in_randomized_search(self):
         # Mean cancellation of action differences cannot occur when the
@@ -112,8 +131,16 @@ class TestEquivalenceCheck:
         assert w1_exact(pts, pts.copy()) == 0.0
 
 
-def trained_run(seed=20):
+def trained_run(seed=20, swap=False):
+    """A run on planted data.  With ``swap``, decision 0's expert action is
+    first replaced by its instance's worst action under phi0, and the
+    returned ground truth is None."""
     instances, data, phi0, _ = random_problem(seed=seed, count=4, n_actions=10)
+    if swap:
+        actions = data.actions.copy()
+        inst = instances[data.instance_ids[0]]
+        actions[0] = inst.actions[np.argmin(inst.actions @ phi0)]
+        data, phi0 = TrajectorySet(data.instance_ids, actions), None
     fs = Ball(center=np.zeros(2), radius=1.0)
     cfg = RunConfig(schedule=StepSchedule("inverse_sqrt", 0.5),
                     max_iters=5000, tie_tol=0.0)
@@ -136,13 +163,9 @@ class TestCorollaryCheck:
         assert k is not None and k <= 5000
 
     def test_unreachable_eps_is_absent(self):
-        log, phi0, data, instances = trained_run()
-        positive = log.objectives[log.objectives > 0]
-        if positive.size == 0:
-            pytest.skip("run reached exact zero everywhere")
-        tiny = float(positive.min()) * 1e-6
-        if log.best_objective == 0.0:
-            pytest.skip("run hit exact zero; any eps > 0 is reached")
+        log, phi0, data, instances = trained_run(swap=True)
+        assert np.all(log.objectives > 0)
+        tiny = float(log.objectives.min()) * 1e-6
         assert corollary_check(log, phi0, data, instances, eps=tiny) is None
 
 
@@ -167,7 +190,7 @@ class TestFirstBelow:
             seen.append(phi)
             return GapReport(gaps=np.zeros(1), objective=0.0, n=1)
 
-        with mock.patch.object(guarantees, "_gap_report", gap_report):
+        with mock.patch.object(guarantees, "reward_gap_report_packed", gap_report):
             guarantees._check_budget(log, want, eps, None, None)
         best = log.weights[int(np.argmin(log.objectives[:want]))]
         assert [phi.tobytes() for phi in seen] == [best.tobytes()]
@@ -179,13 +202,15 @@ class TestVerifyRun:
     @pytest.mark.parametrize("eps", [1e9, 1e-2, 0.0, 1e-300])
     def test_matches_the_separate_checks(self, eps):
         log, phi0, data, instances = trained_run()
-        for phi in (log.best_weights, log.weights[0], np.array([0.3, -0.1])):
-            report, k, equiv = verify_run(log, phi, phi0, data, instances, eps)
-            want = reward_gap_report(phi, phi0, data, instances, tie_tol=0.0)
+        for phi, truth in itertools.product(
+                (log.best_weights, log.weights[0], np.array([0.3, -0.1])),
+                (phi0, None)):
+            report, k, equiv = verify_run(log, phi, truth, data, instances, eps)
+            want = reward_gap_report(phi, truth, data, instances, tie_tol=0.0)
             assert report.gaps.tobytes() == want.gaps.tobytes()
             assert (report.objective, report.n) == (want.objective, want.n)
-            assert k == corollary_check(log, phi0, data, instances, eps)
-            assert equiv == equivalence_check(phi, phi0, data, instances)
+            assert k == corollary_check(log, truth, data, instances, eps)
+            assert equiv == equivalence_check(phi, truth, data, instances)
 
     def test_inconsistent_expert_raises_as_reward_gap_report(self):
         log, phi0, data, instances = trained_run()
