@@ -83,8 +83,11 @@ def _canonical_segments(arr: np.ndarray, sizes: np.ndarray):
     An input holding a ``-0.0`` goes through ``np.unique`` segment by
     segment: where two rows differ only in the sign of a zero, its
     unstable sort decides which one is kept.  Any other input gets one
-    stable ``np.lexsort`` keyed by (segment, columns) and loses each row
-    equal to the one before it in its segment.
+    integer sort key, (segment, then each column's rank among its
+    distinct values) in mixed radix, re-ranked before it could overflow;
+    equal keys mean equal rows, so one unstable ``np.argsort`` of it
+    orders the rows, and each row whose key equals the one before it is
+    dropped.
     """
     if arr.ndim != 2 or arr.shape[1] < 1 or np.any(sizes < 1):
         raise ValueError("actions must be a nonempty list of equal-length vectors")
@@ -100,9 +103,17 @@ def _canonical_segments(arr: np.ndarray, sizes: np.ndarray):
         segs = [np.unique(seg, axis=0) for seg in np.split(arr, starts[1:])]
         return np.concatenate(segs), np.array([len(seg) for seg in segs])
     seg = np.repeat(np.arange(sizes.size), sizes)
-    out = arr[np.lexsort((*arr.T[::-1], seg))]
-    keep = _increasing(out, starts)
-    return out[keep], np.bincount(seg[keep], minlength=sizes.size)
+    key, top = seg, sizes.size
+    for col in arr.T:
+        values, rank = np.unique(col, return_inverse=True)
+        if top * len(values) >= 2**62:
+            distinct, key = np.unique(key, return_inverse=True)
+            top = len(distinct)
+        key, top = key * len(values) + rank, top * len(values)
+    order = np.argsort(key)
+    key = key[order]
+    first = order[np.concatenate(([True], key[1:] != key[:-1]))]
+    return np.take(arr, first, axis=0), np.bincount(seg[first], minlength=sizes.size)
 
 
 @dataclass(frozen=True)

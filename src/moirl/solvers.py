@@ -27,7 +27,7 @@ DEFAULT_TIE_TOL = 1e-9
 
 # Explicit enumeration bound for knapsack subsets (2^20 candidate vectors).
 MAX_KNAPSACK_ITEMS = 20
-KNAPSACK_BLOCK = 2**14  # packings enumerated per block
+KNAPSACK_LOW_ITEMS = 14  # items whose packings make up one block
 
 
 @dataclass(frozen=True)
@@ -109,43 +109,53 @@ class KnapsackSpec:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        capacity = float(self.capacity)
         feats = np.asarray(self.item_features, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("knapsack needs at least one item")
-        if np.any(w < 0) or self.capacity < 0:
-            raise ValueError("knapsack weights and capacity must be nonnegative")
         if feats.ndim != 2 or feats.shape[0] != w.size:
             raise ValueError("item_features must be an (m, d) matrix")
+        for name, value in (("weights", w), ("capacity", capacity),
+                            ("item_features", feats)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"knapsack {name} must be finite")
+        if np.any(w < 0) or capacity < 0:
+            raise ValueError("knapsack weights and capacity must be nonnegative")
         w.setflags(write=False)
         feats.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "capacity", float(self.capacity))
+        object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "item_features", feats)
 
 
 def knapsack_instance(spec: KnapsackSpec, id: str) -> Instance:
     """Enumerate all feasible 0/1 packings and materialize their feature sums.
 
-    Packings are enumerated in blocks of ``KNAPSACK_BLOCK`` rows of
-    ``uint8`` item masks (bit j of packing p in column j), so only the
-    feasible masks are kept whole.  Blocks start at multiples of a power
-    of two, so a row keeps its index modulo the small row groups a BLAS
-    kernel may round by (see ``solve_packed``) and its weight sum keeps
-    the bits of one product over all packings.  The feature sums stay
-    one product over all feasible packings: OpenBLAS rounds a row of
-    that product differently with the matrix's size.
+    A packing's weight sum and feature sums add its items in index order,
+    starting from ``+0.0``, so a sum never depends on where its row sits
+    and is never ``-0.0``.  The sums over the low ``KNAPSACK_LOW_ITEMS``
+    items are built once by doubling (packing p in row p); each block of
+    packings adds its high items to those sums, in index order, and keeps
+    the rows within the capacity.
     """
     m = spec.weights.size
     if m > MAX_KNAPSACK_ITEMS:
         raise ValueError("enumeration bound exceeded")
+    low = min(m, KNAPSACK_LOW_ITEMS)
+    w, f = np.zeros(1), np.zeros((1, spec.item_features.shape[1]))
+    for j in range(low):
+        w = np.concatenate((w, w + spec.weights[j]))
+        f = np.concatenate((f, f + spec.item_features[j]))
     feasible = []
-    for start in range(0, 2**m, KNAPSACK_BLOCK):
-        packings = np.arange(start, min(start + KNAPSACK_BLOCK, 2**m), dtype="<u4")
-        masks = np.unpackbits(
-            packings.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little"
-        )
-        feasible.append(masks[masks @ spec.weights <= spec.capacity])
-    return make_instance(id, np.concatenate(feasible) @ spec.item_features)
+    for high in range(2 ** (m - low)):
+        bw, bf = w, f
+        for j in range(low, m):
+            if high >> (j - low) & 1:
+                bw, bf = bw + spec.weights[j], bf + spec.item_features[j]
+        feasible.append(bf[bw <= spec.capacity])
+    actions = np.concatenate(feasible)
+    del feasible
+    return make_instance(id, actions)
 
 
 def polytope_vertex_instance(vertices, id: str) -> Instance:

@@ -267,7 +267,30 @@ class TestMakeInstances:
         actions[actions == 0] = 1.0  # no zero of either sign
         insts = make_instances([str(i) for i in range(1000)], actions, [20] * 1000)
         assert len(insts) == 1000
-        assert sort_calls == ["lexsort"]
+        # One np.unique per column; none per segment.
+        assert "lexsort" not in sort_calls
+        assert len(sort_calls) <= 2 * actions.shape[1]
+
+    @given(st.integers(5, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_bit_identical_to_np_unique_past_key_overflow(self, d, seed):
+        """Near-distinct columns over many segments, with duplicated rows:
+        the mixed-radix sort key would pass 2**62, so it is re-ranked."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(30, 61, rng.integers(100, 301))
+        actions = rng.normal(size=(sizes.sum(), d))
+        dst, src = rng.integers(0, len(actions), (2, len(actions) // 5))
+        actions[dst] = actions[src]  # across segments and within them
+        starts = np.cumsum(sizes) - sizes
+        actions[starts + 1] = actions[starts]  # within each segment
+        distinct = [len(np.unique(col)) for col in actions.T]
+        assert len(sizes) * np.prod(distinct, dtype=float) >= 2**62
+        segs = np.split(actions, starts[1:])
+        insts = make_instances([str(i) for i in range(len(segs))], actions, sizes)
+        for inst, seg in zip(insts, segs):
+            want = np.unique(seg, axis=0)
+            assert inst.actions.shape == want.shape
+            assert inst.actions.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("actions, sizes, message", [
         ([[0.0], [1.0]], [2, 0], "nonempty"),

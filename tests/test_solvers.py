@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,19 +364,35 @@ class TestKnapsack:
 
     @staticmethod
     def one_shot(spec):
-        """The enumeration as one 2^m x m integer matrix, the reference."""
+        """The enumeration as one 2^m x m integer matrix and one product."""
         m = spec.weights.size
         subsets = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
         feasible = subsets @ spec.weights <= spec.capacity
         return subsets[feasible].astype(float) @ spec.item_features
 
-    # Up to 16 items, so the packings span up to four enumeration blocks.
-    # The explicit 17-item examples are sizes at which a feature-sum
-    # product per block, instead of one, changes the last bit of some sums.
+    @staticmethod
+    def item_order(spec):
+        """The reference: every one of the 2^m packings at once, its sums
+        adding its items in index order from +0.0."""
+        m, d = spec.item_features.shape
+        packings = np.arange(2**m)
+        w, f = np.zeros(2**m), np.zeros((2**m, d))
+        for j in range(m):
+            mask = (packings >> j) & 1 == 1
+            w[mask] += spec.weights[j]
+            f[mask] += spec.item_features[j]
+        return f[w <= spec.capacity]
+
+    # Up to 16 items under hypothesis, so the packings span up to four
+    # blocks; the explicit examples are non-dyadic, up to the enumeration
+    # bound.  Only dyadic sums are exact, so only they must also equal one
+    # product over all packings.
     @given(st.integers(1, 16), st.integers(1, 5), st.booleans(),
            st.integers(0, 2**32 - 1))
     @example(17, 1, False, 0)
-    @example(17, 3, False, 1)
+    @example(18, 3, False, 1)
+    @example(19, 2, False, 2)
+    @example(20, 2, False, 3)
     @settings(max_examples=40)
     def test_matches_one_shot_enumeration_bit_for_bit(self, m, d, dyadic, seed):
         rng = np.random.default_rng(seed)
@@ -387,10 +404,49 @@ class TestKnapsack:
             feats = rng.normal(size=(m, d)) / 3
         spec = KnapsackSpec(weights=weights, capacity=rng.uniform(0, weights.sum()),
                             item_features=feats)
-        want = canonical_actions(self.one_shot(spec))
+        want = canonical_actions(self.item_order(spec))
         got = knapsack_instance(spec, "k").actions
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        if dyadic:  # exact sums: any summation order gives these bits
+            assert got.tobytes() == canonical_actions(self.one_shot(spec)).tobytes()
+
+    def test_sums_start_from_positive_zero(self):
+        """Negative and -0.0 features, and items that cancel, give no -0.0:
+        a product ``0 * x`` with ``x < 0`` would."""
+        feats = np.array([[-0.0, 1.5], [-1.5, -0.0], [1.5, -1.5], [-0.0, -0.0]])
+        spec = KnapsackSpec(weights=np.ones(4), capacity=4.0, item_features=feats)
+        got = knapsack_instance(spec, "k").actions
+        assert got.tobytes() == canonical_actions(self.item_order(spec)).tobytes()
+        assert (got == 0).any(axis=0).all()
+        assert not np.signbit(got[got == 0]).any()
+
+    def test_peak_memory_at_the_enumeration_bound(self):
+        rng = np.random.default_rng(0)
+        weights = rng.integers(1, 13, 20) * 0.25
+        spec = KnapsackSpec(weights=weights, capacity=weights.sum() / 2,
+                            item_features=rng.integers(-20, 21, (20, 4)) * 0.25)
+        tracemalloc.start()
+        try:
+            knapsack_instance(spec, "k")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("weights", dict(weights=[1.0, np.nan])),
+        ("weights", dict(weights=[np.inf, 1.0])),
+        ("weights", dict(weights=[-np.inf, 1.0])),
+        ("capacity", dict(capacity=np.nan)),
+        ("capacity", dict(capacity=np.inf)),
+        ("item_features", dict(item_features=[[1.0], [np.nan]])),
+        ("item_features", dict(item_features=[[-np.inf], [1.0]])),
+    ])
+    def test_rejects_nonfinite(self, field, kwargs):
+        spec = dict(weights=[1.0, 2.0], capacity=2.0, item_features=[[1.0], [2.0]])
+        with pytest.raises(ValueError, match=f"knapsack {field} must be finite"):
+            KnapsackSpec(**{**spec, **kwargs})
 
     def test_enumeration_bound(self):
         spec = KnapsackSpec(
