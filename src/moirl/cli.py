@@ -102,6 +102,8 @@ def cmd_verify(args) -> int:
     log = mio.read_runlog_csv(run_dir / "run.csv")
     eps = args.eps
     n = len(data)
+    if not np.isfinite(eps * n):
+        raise ValueError(f"--eps {eps!r} times {n} decisions is not finite")
 
     report, k_eps, equiv = verify_run(log, log.best_weights, phi0, data, instances, eps)
 

@@ -102,8 +102,9 @@ def reward_gap_report_packed(
 
 
 def _gaps(w: np.ndarray, chosen: np.ndarray, expert: np.ndarray) -> GapReport:
-    # One dot product per row, so each gap rounds as ``w @ action`` does.
-    gaps = np.array([float(w @ a - w @ e) for a, e in zip(chosen, expert)])
+    # vecdot runs each row through ``w @ a``'s vector dot loop, so a gap has
+    # the bits of ``float(w @ a - w @ e)``; BLAS ``chosen @ w`` would not.
+    gaps = np.vecdot(chosen, w) - np.vecdot(expert, w)
     if np.any(gaps < -DUST):
         worst = int(np.argmin(gaps))
         raise GuaranteeViolation(

@@ -73,10 +73,25 @@ def load_json(path) -> Any:
 
 
 def save_json(obj, path) -> None:
-    """Write ``obj`` in ``json.dump(..., indent=2)``'s layout, plus a newline."""
+    """Write ``obj`` in ``json.dump(..., indent=2)``'s layout, plus a newline.
+    A ``NaN`` or infinite float raises ValueError, and no file is written."""
+    text = _json_text(obj, "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _json_text(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` with ``pad`` opening each
+    new line; string-keyed dicts and finite-float lists skip its Python encoder."""
+    inner = pad + "  "
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (type(obj) is list and obj and set(map(type, obj)) == {float}
+            and all(map(math.isfinite, obj))):
+        return "[" + inner + ("," + inner).join(map(float.__repr__, obj)) + pad + "]"
+    # json escapes newlines inside strings, so every "\n" starts a line.
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", pad)
 
 
 _NUMBER_TYPES = {int, float}
@@ -482,14 +497,13 @@ def _runlog_header(d: int) -> str:
 
 
 def write_runlog_csv(log: RunLog, path) -> None:
-    lines = [_runlog_header(log.weights.shape[1])]
-    for i in range(log.iters_run):
-        row = [str(i + 1), repr(float(log.objectives[i])),
-               repr(float(log.grad_norms[i]))]
-        row += [repr(float(x)) for x in log.weights[i]]
-        lines.append(",".join(row))
+    """Write ``run.csv`` with one ``%`` format: ``k``, then each value's ``repr``."""
+    d = log.weights.shape[1]
+    table = np.column_stack([log.objectives, log.grad_norms, log.weights]).tolist()
+    values = [v for k, row in enumerate(table, 1) for v in (k, *row)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_runlog_header(d) + "\n"
+                 + ("%d" + ",%r" * (2 + d) + "\n") * log.iters_run % tuple(values))
 
 
 def read_runlog_csv(path) -> RunLog:

@@ -23,6 +23,10 @@ def project(fs: FeasibleSet, v) -> np.ndarray:
         norm = float(np.linalg.norm(offset))
         if norm <= fs.radius:
             return x.copy()
+        if np.isinf(norm):  # overflowed: scale by the largest coordinate first
+            scale = max(np.abs(x).max(), np.abs(fs.center).max())
+            offset = x / scale - fs.center / scale
+            norm = float(np.linalg.norm(offset))
         return fs.center + offset * (fs.radius / norm)
     if isinstance(fs, Simplex):
         return _project_simplex(x)
@@ -33,6 +37,10 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     # Sort-then-threshold: O(d log d), exact up to rounding.
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
+    if not np.isfinite(css[-1]) and np.isfinite(v).all():
+        # The sums overflowed.  A shift of every coordinate keeps the
+        # projection, and one at least 1 below the largest projects to 0.
+        return _project_simplex(np.maximum(v - v.max(), -1.0))
     idx = np.arange(1, v.size + 1)
     rho = np.nonzero(u - css / idx > 0)[0][-1]
     theta = css[rho] / (rho + 1.0)

@@ -288,6 +288,25 @@ class TestTrain:
         assert proc.returncode == 2, proc.stderr
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:"), proc.stderr
 
+    def test_huge_initial_weights_project_onto_the_simplex(self, tmp_path):
+        spec = tmp_path / "problem.json"
+        write_json(spec, {"random": {"count": 3, "dim": 3, "n_actions": 4}})
+        feasible = {"kind": "simplex", "dim": 3}
+        phi0 = tmp_path / "phi0.json"
+        write_json(phi0, {"phi0": [0.2, 0.3, 0.5], "feasible": feasible})
+        write_json(tmp_path / "feasible.json", feasible)
+        config = tmp_path / "config.json"
+        write_json(config, {
+            "schedule": {"kind": "inverse_sqrt", "alpha0": 0.5},
+            "max_iters": 3,
+            "phi1": [1e308, 1e308, 0.0],
+        })
+        with pytest.warns(UserWarning, match="outside the feasible set"):
+            _, run_dir = run_pipeline(tmp_path, spec, phi0,
+                                      tmp_path / "feasible.json", config)
+        first = (run_dir / "run.csv").read_text().splitlines()[1]
+        assert first.split(",")[3:] == ["0.5", "0.5", "0.0"]
+
     def test_missing_file_exits_4(self, fixture_files, capsys):
         tmp_path, _, _, feasible, config = fixture_files
         code = main(["train", str(tmp_path / "nope"), str(feasible),
@@ -467,7 +486,8 @@ class TestVerify:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
 
-    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+    # 1e308 is finite, but eps * N, the report's bound_eN, is not.
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0", "1e308"])
     def test_eps_must_be_finite_and_positive(self, fixture_files, capsys, eps):
         tmp_path, spec, phi0, feasible, config = fixture_files
         data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)

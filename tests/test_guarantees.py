@@ -3,7 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import grid_weights, objective_runs, random_problem
 from moirl import guarantees
@@ -68,6 +69,31 @@ class TestRewardGapReport:
         data = TrajectorySet(["a"], [[0.0]])
         report = reward_gap_report(np.array([1.0]), None, data, {"a": inst})
         assert report.gaps.tolist() == [1.0]
+
+
+GAP_NUMBERS = st.floats(-1e100, 1e100) | st.sampled_from([-0.0, 0.1, 1 / 3, 1e-100])
+
+
+@st.composite
+def scored_pairs(draw):
+    """Weights and (N, d) chosen and expert rows, swapped where needed so
+    that no gap is negative."""
+    d, n = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    w = draw(arrays(np.float64, d, elements=GAP_NUMBERS))
+    chosen, expert = (draw(arrays(np.float64, (n, d), elements=GAP_NUMBERS))
+                      for _ in range(2))
+    swap = np.array([w @ a < w @ e for a, e in zip(chosen, expert)])
+    chosen[swap], expert[swap] = expert[swap], chosen[swap]
+    return w, chosen, expert
+
+
+@given(scored_pairs())
+@settings(max_examples=300)
+def test_gaps_equal_one_dot_product_per_row_bit_for_bit(pairs):
+    w, chosen, expert = pairs
+    want = np.array([float(w @ a - w @ e) for a, e in zip(chosen, expert)])
+    got = guarantees._gaps(w, chosen, expert).gaps
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestEquivalenceCheck:

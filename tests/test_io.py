@@ -271,6 +271,62 @@ class TestSaveTrajectoriesLayout:
         assert (p / "direct.json").read_bytes() == (p / "json.json").read_bytes()
 
 
+FINITE_FLOATS = NUMBERS | st.sampled_from([-5e-324, 1e-310, 1e300, -1.7976931348623157e308])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE_FLOATS
+    | st.text() | st.sampled_from(['"', "\\", "\n", "é", "日本", "\x00"]),
+    lambda inner: st.lists(FINITE_FLOATS, max_size=4) | st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def json_dump_text(obj):
+    """The reference layout: json.dump(indent=2) plus a newline."""
+    fh = io.StringIO()
+    json.dump(obj, fh, indent=2)
+    return fh.getvalue() + "\n"
+
+
+class TestSaveJsonLayout:
+    @given(JSON_VALUES)
+    @settings(max_examples=300)
+    def test_bytes_equal_json_dump(self, tmp_path_factory, obj):
+        p = tmp_path_factory.mktemp("json") / "out.json"
+        mio.save_json(obj, p)
+        assert p.read_bytes() == json_dump_text(obj).encode("utf-8")
+
+    @pytest.mark.parametrize("obj", [
+        {"gaps": [0.0, -0.0, 1e16, 5e-324, 0.1], "F": 0.02, "eps": 1e-2,
+         "bound_eN": 10.02, "equivalence": {"subgrad_zero": True,
+                                            "actions_equal": False,
+                                            "w1_zero": False}},
+        {"best_phi": [0.6, -0.8], "best_F": -0.0, "best_iteration": 3,
+         "iters_run": 10**20},
+        {"phi0": [1.0], "seed": 0, "feasible": {"kind": "simplex", "dim": 3}},
+        {"a": {"b": {"c": [[1.0, 2.0], []], "d": {}}}, "e": [], "f": None},
+        {"é\n": "ü\t\"q\"\\", "": [True, 1, 1.5, None, "x"]},
+        {"gaps": [1.5]}, [], {}, [1.0, 2], [0.5, True], "s", -0.0, None,
+    ], ids=["verify-report", "summary", "manifest", "nested", "escapes",
+            "one-gap", "empty-list", "empty-dict", "int-among-floats",
+            "bool-among-floats", "string", "negative-zero", "null"])
+    def test_edge_cases(self, tmp_path, obj):
+        p = tmp_path / "out.json"
+        mio.save_json(obj, p)
+        assert p.read_bytes() == json_dump_text(obj).encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("wrap", [
+        lambda x: x, lambda x: [0.5, x], lambda x: {"gaps": [x]},
+        lambda x: {"a": {"bound_eN": x}}, lambda x: [[x]],
+    ], ids=["scalar", "float-list", "report", "nested", "list-of-lists"])
+    def test_non_finite_rejected_and_nothing_written(self, tmp_path, bad, wrap):
+        p = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            mio.save_json(wrap(bad), p)
+        assert not p.exists()
+
+
 class TestTrajectoryRoundTrip:
     def test_save_load_identity(self, tmp_path):
         ts = TrajectorySet(["a", "b"], [[0.1, -2.5], [1e-17, 3.0]])
@@ -492,6 +548,27 @@ class TestRunLog:
         assert np.array_equal(back.weights, log.weights)
         assert np.array_equal(back.grad_norms, log.grad_norms)
         assert back.best_iteration == log.best_iteration
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=100)
+    def test_bytes_round_trip(self, tmp_path_factory, k, d, data):
+        floats = st.lists(FINITE_FLOATS, min_size=k, max_size=k).map(np.array)
+        log = RunLog(
+            weights=np.array(data.draw(st.lists(
+                st.lists(FINITE_FLOATS, min_size=d, max_size=d),
+                min_size=k, max_size=k))),
+            objectives=data.draw(floats), grad_norms=data.draw(floats))
+        p = tmp_path_factory.mktemp("runlog")
+        mio.write_runlog_csv(log, p / "a.csv")
+        mio.write_runlog_csv(mio.read_runlog_csv(p / "a.csv"), p / "b.csv")
+        # The reference: one repr per cell.
+        want = [mio._runlog_header(d)] + [
+            ",".join([str(i + 1), repr(float(log.objectives[i])),
+                      repr(float(log.grad_norms[i]))]
+                     + [repr(float(x)) for x in log.weights[i]])
+            for i in range(k)]
+        assert (p / "a.csv").read_text() == "\n".join(want) + "\n"
+        assert (p / "b.csv").read_bytes() == (p / "a.csv").read_bytes()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0]], "fields, header has"),

@@ -89,3 +89,27 @@ class TestProjectionProperties:
     def test_identity_on_members(self, fs, v):
         m = project(fs, v)
         assert np.allclose(project(fs, m), m, atol=1e-12)
+
+
+@pytest.mark.parametrize("fs, v, want", [
+    (Simplex(dimension=3), [1e308, 1e308, 0.0], [0.5, 0.5, 0.0]),
+    (Simplex(dimension=3), [-1e308, -1e308, 0.0], [0.0, 0.0, 1.0]),
+    (Ball(center=np.zeros(2), radius=1.0), [1e308, 1e308], [2**-0.5, 2**-0.5]),
+    (Ball(center=np.array([-1e308, 0.0]), radius=1.0), [1e308, 0.0], [-1e308, 0.0]),
+], ids=["simplex-sum-overflows", "simplex-sum-overflows-negative",
+        "ball-norm-overflows", "ball-offset-overflows"])
+def test_huge_finite_points(fs, v, want):
+    # The plain computation overflows, which numpy reports; the result is
+    # still the projection.
+    with np.errstate(over="ignore"):
+        out = project(fs, np.array(v))
+    assert np.allclose(out, want, rtol=1e-15, atol=0.0)
+
+
+@given(v=vec(3, -1e3, 1e3))
+@settings(max_examples=100)
+def test_simplex_shift_and_clip_keep_the_projection(v):
+    # What the overflow fallback relies on.
+    fs = Simplex(dimension=3)
+    shifted = np.maximum(v - v.max(), -1.0)
+    assert np.allclose(project(fs, shifted), project(fs, v), rtol=0.0, atol=1e-12)
