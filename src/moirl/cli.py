@@ -64,14 +64,15 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, tie_tol=args.tie_tol)
     store, expert = checked_decisions(data, instances)
     log = train_packed(store, expert, feasible, phi1=phi1, cfg=cfg)
+    report = reward_gap_report_packed(log.best_weights, store, expert)
+    # Raises on a non-finite gap before any file is written.
+    gap_text = mio.json_text({"gaps": report.gaps.tolist(), "F": report.objective})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mio.write_runlog_csv(log, out / "run.csv")
     mio.write_summary(log, out / "summary.json")
-    report = reward_gap_report_packed(log.best_weights, store, expert)
-    mio.save_json({"gaps": report.gaps.tolist(), "F": report.objective},
-                  out / "gap_report.json")
+    (out / "gap_report.json").write_text(gap_text, encoding="utf-8", newline="\n")
     print(
         f"trained {log.iters_run} iterations; best F = {log.best_objective!r} "
         f"at iteration {log.best_iteration}"

@@ -275,9 +275,9 @@ def checked_decisions(
 def _diagnose(ts, instances):
     """``validate``'s diagnostics, and the packed store and expert actions
     of the decisions whose instance is known and as wide as the actions
-    (None and None if there are none).  The membership test is one row
-    match against the repeated expert actions and one
-    ``logical_or.reduceat``.
+    (None and None if there are none).  The membership test matches
+    column 0 against each segment's expert action first, then the whole
+    row on those candidate rows only, with ``==`` throughout.
     """
     d = ts.actions.shape[1]
     insts = [instances.get(iid) for iid in ts.instance_ids]
@@ -295,8 +295,11 @@ def _diagnose(ts, instances):
         return [problems[n] for n in sorted(problems)], None, None
     store = pack([insts[n] for n in rows])
     expert = ts.actions[rows] if problems else ts.actions
-    match = np.all(store.actions == np.repeat(expert, store.sizes, axis=0), axis=1)
-    for j in np.flatnonzero(~np.logical_or.reduceat(match, store.starts)):
+    cand = np.flatnonzero(store.actions[:, 0] == np.repeat(expert[:, 0], store.sizes))
+    seg = np.searchsorted(store.starts, cand, side="right") - 1
+    found = np.zeros(len(rows), dtype=bool)
+    found[seg[np.all(store.actions[cand] == expert[seg], axis=1)]] = True
+    for j in np.flatnonzero(~found):
         n = rows[j]
         problems[n] = (
             f"trajectory {n}: action {expert[j].tolist()} is not in the "

@@ -175,9 +175,13 @@ def _first_below(log: RunLog, eps: float) -> Optional[int]:
     return None if hits.size == 0 else int(hits[0]) + 1
 
 
-def _check_budget(log: RunLog, k: int, eps: float, store, expert) -> None:
+def _check_budget(log: RunLog, k: int, eps: float, store, expert,
+                  report: Optional[GapReport] = None) -> None:
+    """Raise unless iterate k's gaps are within budget.  ``report`` is the
+    gap report at weights with iterate k's bytes, if one is at hand."""
     # Iteration k is the first with F < eps, so its iterate is the best so far.
-    report = reward_gap_report_packed(log.weights[k - 1], store, expert, 0.0)
+    if report is None:
+        report = reward_gap_report_packed(log.weights[k - 1], store, expert, 0.0)
     if not report.within_budget(eps):
         raise GuaranteeViolation(
             f"reward gap exceeds eps*N at iteration {k}: "
@@ -195,12 +199,14 @@ def verify_run(
 ) -> tuple[GapReport, Optional[int], EquivalenceReport]:
     """``reward_gap_report`` (``tie_tol`` 0), ``corollary_check`` and
     ``equivalence_check`` at ``phi``, raising in that order, on one
-    validated store and one exact solve under ``phi``."""
+    validated store and one exact solve under ``phi``.  The budget is
+    checked on that solve's report when iterate k has ``phi``'s bytes."""
     store, expert = _decisions(phi0, data, instances)
     w = as_weights(phi, store.dim)
     learner = solve_packed(w, store, tie_tol=0.0)
     report = _gaps(w, learner, expert)
     k = _first_below(log, eps)
     if k is not None:
-        _check_budget(log, k, eps, store, expert)
+        same = log.weights[k - 1].tobytes() == w.tobytes()
+        _check_budget(log, k, eps, store, expert, report if same else None)
     return report, k, _equivalence(learner, expert)

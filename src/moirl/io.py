@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import zipfile
 from functools import partial
 from itertools import chain
@@ -45,6 +46,7 @@ __all__ = [
     "load_ground_truth",
     "load_json",
     "save_json",
+    "json_text",
     "load_manifest",
     "save_manifest",
     "write_runlog_csv",
@@ -75,9 +77,15 @@ def load_json(path) -> Any:
 def save_json(obj, path) -> None:
     """Write ``obj`` in ``json.dump(..., indent=2)``'s layout, plus a newline.
     A ``NaN`` or infinite float raises ValueError, and no file is written."""
-    text = _json_text(obj, "\n")
+    text = json_text(obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+
+
+def json_text(obj) -> str:
+    """The text ``save_json`` writes for ``obj``; ValueError on a ``NaN`` or
+    infinite float."""
+    return _json_text(obj, "\n") + "\n"
 
 
 def _json_text(obj, pad: str) -> str:
@@ -202,8 +210,22 @@ def _instance_table(data):
     return ids, actions, list(map(len, matrices)), states
 
 
-def _sha256(path) -> bytes:
-    return hashlib.sha256(Path(path).read_bytes()).digest()
+_HASH_CHUNK = 1 << 20  # bytes read into the hash at a time
+
+
+def _sha256(path, buf: np.ndarray, out: list) -> None:
+    """Append the SHA-256 of the file at ``path`` to ``out``, or nothing if
+    it cannot be read.  The file is read piece by piece into ``buf``, a
+    uint8 array; ``hashlib`` and the reads release the GIL, so this runs
+    beside the main thread's work on another core."""
+    sha = hashlib.sha256()
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            while n := fh.readinto(buf):
+                sha.update(buf[:n])
+    except OSError:
+        return
+    out.append(sha.digest())
 
 
 def _sidecar_path(path) -> Path:
@@ -222,21 +244,34 @@ def _load_sidecar(path) -> dict[str, Instance] | None:
     """The instances in ``path``'s binary copy, or None unless that copy
     exists, reads without pickles and holds the SHA-256 of ``path``'s
     current bytes, and its ids, states and arrays pass the checks that
-    the JSON path makes (``make_instances``'s included)."""
+    the JSON path makes (``make_instances``'s included).
+
+    Once the copy's stored digest is read, a worker thread hashes
+    ``path`` while this thread reads the arrays and builds the
+    instances; the worker is joined on every path out.
+    """
     try:
         with open(_sidecar_path(path), "rb") as fh, \
                 np.load(fh, allow_pickle=False) as npz:
-            if npz["sha256"].tobytes() != _sha256(path):
-                return None
-            ids, states = json.loads(npz["header"].tobytes().decode("utf-8"),
-                                     parse_constant=_reject_constant)
-            actions, sizes = npz["actions"], npz["sizes"]
-        if not (type(ids) is list and type(states) is list
-                and set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)):
-            return None
-        return dict(zip(ids, make_instances(ids, actions, sizes, states)))
+            stored, digest = npz["sha256"].tobytes(), []
+            # Allocated here: a buffer the worker allocates stays resident
+            # in its own malloc arena after it exits (about 1 MiB more RSS).
+            worker = threading.Thread(target=_sha256, args=(
+                path, np.empty(_HASH_CHUNK, np.uint8), digest))
+            worker.start()
+            try:
+                ids, states = json.loads(npz["header"].tobytes().decode("utf-8"),
+                                         parse_constant=_reject_constant)
+                if not (type(ids) is list and type(states) is list
+                        and set(map(type, ids)) <= {str}
+                        and len(set(ids)) == len(ids)):
+                    return None
+                insts = make_instances(ids, npz["actions"], npz["sizes"], states)
+            finally:
+                worker.join()
     except _UNREADABLE:
         return None
+    return dict(zip(ids, insts)) if digest == [stored] else None
 
 
 def load_instances(path) -> dict[str, Instance]:
@@ -289,19 +324,26 @@ def save_instances(instances: Mapping[str, Instance], path) -> None:
     the file (``0.0`` and ``-0.0`` differ) from one ``np.unique`` over
     all the coordinates.
 
-    Then ``_save_sidecar`` puts a binary copy of the instances next to
-    the file, for ``load_instances``, or removes an old one.
+    Each piece of text is encoded to UTF-8 once, and its bytes are both
+    written and hashed.  Then ``_save_sidecar`` puts a binary copy of the
+    instances, with that SHA-256, next to the file for ``load_instances``,
+    or removes an old one.
     """
-    insts = list(instances.values())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_instances(insts, fh)
-    _save_sidecar(insts, path)
+    insts, sha = list(instances.values()), hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            sha.update(data)
+            fh.write(data)
+
+        _write_instances(insts, write)
+    _save_sidecar(insts, path, sha.digest())
 
 
-def _write_instances(insts: list[Instance], fh) -> None:
-    """``save_instances``' text of ``insts``, written to ``fh``."""
+def _write_instances(insts: list[Instance], write) -> None:
+    """``save_instances``' text of ``insts``, passed piece by piece to ``write``."""
     if not insts:
-        fh.write("[]\n")
+        write("[]\n")
         return
     bits = np.concatenate([inst.actions.ravel() for inst in insts]).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
@@ -319,26 +361,27 @@ def _write_instances(insts: list[Instance], fh) -> None:
             state = json.dumps(inst.state, indent=2).replace("\n", "\n    ")
         else:
             state = json.dumps(inst.state)
-        fh.write(f'{sep}    "id": {json.dumps(inst.id)},\n    "state": {state},\n')
+        head = (f'{sep}    "id": {json.dumps(inst.id)},\n    "state": {state},\n'
+                '    "actions": [\n      [\n        ')
         n, d = inst.actions.shape
         start, end = end, end + n * d
         cells = in_row[index[start:end]].reshape(n, d)
         cells[:, -1] = row_end[index[start + d - 1 : end : d]]
         cells[-1, -1] = texts[index[end - 1]] + "\n      ]\n    ]\n  }"
-        fh.write('    "actions": [\n      [\n        ')
-        fh.write("".join(cells.ravel().tolist()))
+        write("".join([head, *cells.ravel().tolist()]))
         sep = ",\n  {\n"
-    fh.write("\n]\n")
+    write("\n]\n")
 
 
-def _save_sidecar(insts: list[Instance], path) -> None:
+def _save_sidecar(insts: list[Instance], path, sha256: bytes) -> None:
     """Write ``path``'s binary copy (``instances.npz``) when ``insts`` is
     nonempty, of one action width and with unique string ids, or else
     remove any old copy.
 
-    The copy holds the SHA-256 of ``path``'s bytes, the packed (rows, d)
-    actions, the rows per instance, and the ids and states as JSON text.
-    It is written to a temporary file that then replaces the old copy.
+    The copy holds ``sha256``, the SHA-256 of ``path``'s bytes, the
+    packed (rows, d) actions, the rows per instance, and the ids and
+    states as JSON text.  It is written to a temporary file that then
+    replaces the old copy.
     """
     sidecar = _sidecar_path(path)
     if sidecar == Path(path):
@@ -353,7 +396,7 @@ def _save_sidecar(insts: list[Instance], path) -> None:
     tmp = sidecar.with_suffix(f".{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, sha256=np.frombuffer(_sha256(path), np.uint8),
+            np.savez(fh, sha256=np.frombuffer(sha256, np.uint8),
                      actions=np.concatenate([inst.actions for inst in insts]),
                      sizes=np.array([len(inst.actions) for inst in insts]),
                      header=np.frombuffer(header, np.uint8))

@@ -50,11 +50,23 @@ def _argmax_segments(phi, store: PackedInstances, tie_tol: float):
     Actions are in canonical order, so a segment's first tied row is the
     lexicographic minimum of its optimal set.
     """
+    scores = _scores(phi, store, tie_tol)
+    best = np.maximum.reduceat(scores, store.starts)
+    threshold = _threshold(best, tie_tol)
+    tied = np.flatnonzero(scores >= np.repeat(threshold, store.sizes))
+    return best, tied, tied[np.searchsorted(tied, store.starts)]
+
+
+def _scores(phi, store: PackedInstances, tie_tol: float) -> np.ndarray:
+    """``store.actions @ phi``, after checking ``phi`` and ``tie_tol``."""
     w = as_weights(phi, store.dim)
     if not tie_tol >= 0:
         raise ValueError("tie tolerance must be nonnegative")
-    scores = store.actions @ w
-    best = np.maximum.reduceat(scores, store.starts)
+    return store.actions @ w
+
+
+def _threshold(best, tie_tol: float):
+    """The lowest score that ties with ``best`` (one value per segment)."""
     threshold = best
     if tie_tol > 0:
         threshold = best - tie_tol * np.maximum(1.0, np.abs(best))
@@ -64,8 +76,7 @@ def _argmax_segments(phi, store: PackedInstances, tie_tol: float):
     # segment would get the next segment's first tied row.
     if np.isnan(threshold).any():
         raise ValueError("empty candidate set")
-    tied = np.flatnonzero(scores >= np.repeat(threshold, store.sizes))
-    return best, tied, tied[np.searchsorted(tied, store.starts)]
+    return threshold
 
 
 _ONE_START = np.zeros(1, dtype=np.intp)
@@ -95,8 +106,19 @@ def solve_packed(phi, store: PackedInstances, tie_tol: float) -> np.ndarray:
     weights.  With inexact scores a BLAS may round a row's dot product by
     its position in the array (OpenBLAS does at d >= 8), and then two
     actions whose exact scores tie can be broken differently.
+
+    A store of one segment gets the same row from one ``np.argmax`` over
+    the same scores (the first maximum, or with ``tie_tol > 0`` the first
+    row at or above the threshold), with no index of the tied rows.
     """
-    return store.actions[_argmax_segments(phi, store, tie_tol)[2]]
+    if store.starts.size != 1:
+        return store.actions[_argmax_segments(phi, store, tie_tol)[2]]
+    scores = _scores(phi, store, tie_tol)
+    top = np.argmax(scores)  # the first NaN, if there is one
+    threshold = _threshold(scores[top], tie_tol)
+    if tie_tol > 0:
+        top = np.argmax(scores >= threshold)
+    return store.actions[[top]]
 
 
 @dataclass(frozen=True)

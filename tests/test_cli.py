@@ -288,6 +288,30 @@ class TestTrain:
         assert proc.returncode == 2, proc.stderr
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:"), proc.stderr
 
+    def test_non_finite_gap_writes_no_file(self, tmp_path, capsys):
+        # Both actions score inf under phi1, so the gap is inf - inf = NaN,
+        # while the learner's objective stays finite.
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        write_json(data_dir / "instances.json",
+                   [{"id": "a", "actions": [[2, 3], [3, 1]]}])
+        write_json(data_dir / "expert_trajectories.json",
+                   [{"instance_id": "a", "action": [3, 1]}])
+        write_json(tmp_path / "box.json",
+                   {"kind": "box", "lo": [-1e308, -1e308], "hi": [1e308, 1e308]})
+        write_json(tmp_path / "config.json", {
+            "schedule": {"kind": "inverse_sqrt", "alpha0": 1.0},
+            "max_iters": 3,
+            "phi1": [1e308, 1e308],
+        })
+        out = tmp_path / "run"
+        code = main(["train", str(data_dir), str(tmp_path / "box.json"),
+                     str(tmp_path / "config.json"), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+        assert not out.exists()
+
     def test_huge_initial_weights_project_onto_the_simplex(self, tmp_path):
         spec = tmp_path / "problem.json"
         write_json(spec, {"random": {"count": 3, "dim": 3, "n_actions": 4}})

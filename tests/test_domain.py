@@ -101,11 +101,58 @@ def decision_data(draw):
     return TrajectorySet(ids, np.array(actions, dtype=float)), instances
 
 
+def validate_by_repeat(ts, instances):
+    """``validate`` with its former membership test: every row of the
+    store matched against its expert action repeated over its segment,
+    then one ``logical_or.reduceat``."""
+    d = ts.actions.shape[1]
+    problems = [p for p in validate_loop(ts, instances) if "not in the" not in p]
+    known = [n for n, iid in enumerate(ts.instance_ids)
+             if iid in instances and instances[iid].dim == d]
+    if known:
+        store = pack([instances[ts.instance_ids[n]] for n in known])
+        expert = ts.actions[known]
+        match = np.all(store.actions == np.repeat(expert, store.sizes, axis=0), axis=1)
+        for j in np.flatnonzero(~np.logical_or.reduceat(match, store.starts)):
+            n = known[j]
+            problems.append(f"trajectory {n}: action {expert[j].tolist()} is not "
+                            f"in the action set of instance {ts.instance_ids[n]!r}")
+    return sorted(problems, key=lambda p: int(p.split()[1].rstrip(":")))
+
+
+@st.composite
+def decision_data_with_nan(draw):
+    """``decision_data`` with some expert coordinates set to NaN."""
+    data, instances = draw(decision_data())
+    actions = data.actions.copy()
+    for n, j in draw(st.lists(st.tuples(st.integers(0, len(actions) - 1),
+                                        st.integers(0, actions.shape[1] - 1)),
+                              max_size=3)):
+        actions[n, j] = np.nan
+    return TrajectorySet(data.instance_ids, actions), instances
+
+
 class TestPackedValidation:
     @given(decision_data())
     def test_validate_matches_per_trajectory_loop(self, case):
         data, instances = case
         assert validate(data, instances) == validate_loop(data, instances)
+
+    # -0.0 matches 0.0, and NaN matches nothing.
+    @given(decision_data_with_nan())
+    @settings(max_examples=200)
+    def test_validate_matches_the_repeat_formula(self, case):
+        data, instances = case
+        assert validate(data, instances) == validate_by_repeat(data, instances)
+
+    def test_one_instance_store_matches_the_repeat_formula(self):
+        inst = make_instance("a", [[0.0, 1.0], [0.0, 2.0], [1.0, -0.0]])
+        data = ts(("a", [-0.0, 2.0]), ("a", [1.0, 0.0]), ("a", [0.0, 3.0]),
+                  ("a", [np.nan, 1.0]), ("a", [1.0, np.nan]))
+        got = validate(data, {"a": inst})
+        assert got == validate_by_repeat(data, {"a": inst})
+        assert [p.split(":")[0] for p in got] == [
+            "trajectory 2", "trajectory 3", "trajectory 4"]
 
     @given(decision_data())
     def test_checked_decisions_returns_the_packed_decisions(self, case):

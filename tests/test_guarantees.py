@@ -18,6 +18,7 @@ from moirl.guarantees import (
     verify_run,
 )
 from moirl.learner import RunConfig, RunLog, StepSchedule, objective_value, train
+from moirl.solvers import solve_packed
 from moirl.synth import expert_trajectories, random_instances
 
 
@@ -242,3 +243,36 @@ class TestVerifyRun:
         log, phi0, data, instances = trained_run()
         with pytest.raises(GuaranteeViolation, match="expert action"):
             verify_run(log, log.best_weights, -phi0, data, instances, 1e-2)
+
+    @staticmethod
+    def solves(*args):
+        """``verify_run(*args)``'s result, and how many solves it made."""
+        with mock.patch.object(guarantees, "solve_packed",
+                               wraps=solve_packed) as solve:
+            return verify_run(*args), solve.call_count
+
+    def test_budget_checked_on_the_solve_at_phi(self):
+        log, phi0, data, instances = trained_run()
+        k = guarantees._first_below(log, 1e-300)
+        assert k == log.best_iteration
+        for truth, calls in ((None, 1), (phi0, 2)):
+            got, n = self.solves(log, log.best_weights, truth, data, instances, 1e-300)
+            assert n == calls
+            assert got[1] == k
+        # Another phi: iterate k is solved on its own.
+        _, n = self.solves(log, log.weights[0], None, data, instances, 1e-300)
+        assert n == 2
+
+    def test_budget_failure_message_unchanged(self):
+        # A log whose F (0) belies its iterate's gaps.
+        _, _, data, instances = trained_run()
+        phi = np.array([0.3, -0.1])
+        log = RunLog(weights=phi[None], objectives=np.zeros(1), grad_norms=np.zeros(1))
+        with pytest.raises(GuaranteeViolation) as want:
+            corollary_check(log, None, data, instances, 1e-3)
+        assert str(want.value).startswith("reward gap exceeds eps*N at iteration 1")
+        with mock.patch.object(guarantees, "solve_packed", wraps=solve_packed) as solve, \
+                pytest.raises(GuaranteeViolation) as got:
+            verify_run(log, phi.copy(), None, data, instances, 1e-3)
+        assert solve.call_count == 1
+        assert str(got.value) == str(want.value)

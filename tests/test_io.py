@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import shutil
+import threading
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from conftest import mutated_entries, random_problem
 from hypothesis import given, settings, strategies as st
 
-from moirl import io as mio
+from moirl import cli, io as mio
 from moirl.domain import Ball, Box, Simplex, TrajectorySet, make_instance
 from moirl.learner import RunConfig, RunLog, StepSchedule
 
@@ -743,8 +744,41 @@ class TestSidecar:
     def test_edited_instance_file(self, saved):
         text = saved.read_text()
         saved.write_text(text.replace("0.5", "0.7", 1))
+        threads = threading.active_count()
         self.assert_json_result(saved)
         assert mio.load_instances(saved)["a"].actions[1].tolist() == [0.7, -1.25]
+        assert threading.active_count() == threads
+
+    def test_stored_digest_is_the_file_hash(self, saved):
+        with np.load(sidecar_of(saved)) as npz:
+            stored = npz["sha256"].tobytes()
+        assert stored == hashlib.sha256(saved.read_bytes()).digest()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_file_hashed_in_chunks(self, saved, chunk):
+        with mock.patch.object(mio, "_HASH_CHUNK", chunk):
+            self.check_against_json(saved, mio.load_instances(saved))
+
+    def test_missing_instance_file_exits_4(self, saved, capsys):
+        saved.unlink()
+        threads = threading.active_count()
+        assert cli.main(["train", str(saved.parent), "feasible.json", "config.json",
+                         "--out", str(saved.parent / "run")]) == 4
+        assert capsys.readouterr().err.startswith("error:IO:")
+        with pytest.raises(FileNotFoundError):
+            mio.load_instances(saved)
+        assert threading.active_count() == threads
+
+    def test_hash_worker_joined_when_the_copy_fails_its_checks(self, saved):
+        with np.load(sidecar_of(saved)) as npz:
+            actions = npz["actions"].copy()
+        actions[0, 0] = np.nan
+        write_sidecar(saved, actions=actions)
+        threads = threading.active_count()
+        with mock.patch.object(mio, "make_instances", wraps=mio.make_instances) as make:
+            self.assert_json_result(saved)
+        assert isinstance(make.call_args_list[0].args[1], np.ndarray)
+        assert threading.active_count() == threads
 
     def test_sidecar_of_other_instances(self, saved, tmp_path):
         stale = tmp_path / "stale.npz"
@@ -755,9 +789,11 @@ class TestSidecar:
 
     def test_truncated_sidecar(self, saved):
         data = sidecar_of(saved).read_bytes()
+        threads = threading.active_count()
         for size in (0, 10, len(data) // 2, len(data) - 1):
             sidecar_of(saved).write_bytes(data[:size])
             self.assert_json_result(saved)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("kind", ["npy", "pickle", "text", "directory"])
     def test_not_an_archive(self, saved, kind):

@@ -1,10 +1,13 @@
 import itertools
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from moirl import solvers
 from moirl.domain import (
     Instance,
     PackedInstances,
@@ -329,6 +332,115 @@ class TestSolvePacked:
             else:
                 got = solve_packed(phi, store, tie_tol)
                 assert [row.tobytes() for row in got] == want
+
+
+def segment_kernel(phi, store, tie_tol):
+    """``solve_packed``'s rows as the segment kernel computes them."""
+    return store.actions[solvers._argmax_segments(phi, store, tie_tol)[2]]
+
+
+def outcome(call, *args):
+    """The bytes of the array ``call(*args)`` returns, or its ValueError's
+    message."""
+    try:
+        return call(*args).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# Under these weights, rows of these coordinates score +-inf by overflow
+# and inf - inf = NaN.
+EDGE_COORDS = st.sampled_from([-1e308, -1.0, -0.0, 0.0, 1.0, 1e308])
+EDGE_WEIGHTS = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def edge_problems(draw):
+    d = draw(st.integers(1, 3))
+    row = st.lists(EDGE_COORDS, min_size=d, max_size=d)
+    sets = draw(st.lists(st.lists(row, min_size=1, max_size=6),
+                         min_size=1, max_size=3))
+    phi = np.array(draw(st.lists(EDGE_WEIGHTS, min_size=d, max_size=d)))
+    return sets, phi, draw(st.sampled_from([0.0, 1e-9, 0.3]))
+
+
+class FixedScores(np.ndarray):
+    """An action array whose product with any weights is ``self.scores``."""
+
+    def __matmul__(self, w):
+        return self.scores
+
+
+def scored_store(scores):
+    """A one-segment store of 1-wide rows 0, 1, 2, ... scoring ``scores``."""
+    actions = np.arange(len(scores), dtype=float)[:, None].view(FixedScores)
+    actions.scores = np.array(scores)
+    return PackedInstances(actions, np.array([0]), np.array([len(scores)]))
+
+
+SCORES = st.sampled_from([-np.inf, -1e308, -1.0, -0.0, 0.0, 1e-10, 0.8, 1.0,
+                          1e308, np.inf, np.nan])
+
+
+class TestOneSegmentPath:
+    """``solve_packed`` on a store of one segment takes one ``np.argmax``
+    and gives the segment kernel's row, and ``solve``'s, bit for bit."""
+
+    @given(packed_problems(st.integers(1, 4), DYADIC | NON_DYADIC))
+    @settings(max_examples=200)
+    def test_matches_solve_and_the_segment_kernel(self, problem):
+        insts, phi, tie_tol = problem
+        for store in [pack([inst]) for inst in insts] + [pack(insts)]:
+            got = solve_packed(phi, store, tie_tol)
+            assert got.tobytes() == segment_kernel(phi, store, tie_tol).tobytes()
+        for inst in insts:
+            assert (solve_packed(phi, pack([inst]), tie_tol)[0].tobytes()
+                    == solve(phi, inst, tie_tol).chosen.tobytes())
+
+    @given(edge_problems())
+    @example(([[[1e308, -1e308], [0.0, 0.0]]], np.array([2.0, 2.0]), 0.0))
+    @example(([[[1.0, 1e308]], [[0.0, 1e308], [1e308, 1.0]]], np.array([2.0, 2.0]),
+              1e-9))
+    @example(([[[-1e308], [-1.0]]], np.array([2.0]), 0.3))
+    @settings(max_examples=300)
+    def test_edge_scores_match_the_segment_kernel(self, problem):
+        sets, phi, tie_tol = problem
+        insts = [make_instance(f"i{n}", rows) for n, rows in enumerate(sets)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for store in [pack([inst]) for inst in insts] + [pack(insts)]:
+                want = outcome(segment_kernel, phi, store, tie_tol)
+                assert outcome(solve_packed, phi, store, tie_tol) == want
+            for inst in insts:
+                assert (outcome(lambda: solve_packed(phi, pack([inst]), tie_tol)[0])
+                        == outcome(lambda: solve(phi, inst, tie_tol).chosen))
+
+    # Scores set directly: ties of 0.0 and -0.0 (a BLAS product may never
+    # give -0.0), +-inf and NaN.
+    @given(st.lists(SCORES, min_size=1, max_size=8),
+           st.sampled_from([0.0, 1e-9, 0.3]))
+    @example([-0.0, 0.0], 0.0)
+    @example([0.8, 1.0], 0.3)
+    @example([0.0, -0.0, -1.0], 0.0)
+    @example([1.0, np.inf, np.inf], 0.0)
+    @example([-np.inf, -np.inf], 0.3)
+    @example([1.0, np.nan, 2.0], 0.0)
+    @settings(max_examples=300)
+    def test_set_scores_match_the_segment_kernel(self, scores, tie_tol):
+        store = scored_store(scores)
+        with np.errstate(invalid="ignore"):
+            want = outcome(segment_kernel, np.array([1.0]), store, tie_tol)
+            got = outcome(solve_packed, np.array([1.0]), store, tie_tol)
+        assert got == want
+        if np.isnan(scores).any():
+            assert got == "empty candidate set"
+
+    def test_no_tied_row_index(self):
+        store = pack([make_instance("a", [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])])
+        with mock.patch.object(solvers, "_argmax_segments",
+                               side_effect=AssertionError("segment kernel called")):
+            for tie_tol in (0.0, 0.3):
+                got = solve_packed(np.array([1.0, 1.0]), store, tie_tol)
+                assert got.tolist() == [[1.0, 1.0]]
 
 
 class TestKnapsack:
