@@ -317,17 +317,15 @@ def load_instances(path) -> dict[str, Instance]:
 def save_instances(instances: Mapping[str, Instance], path) -> None:
     """Write instances in ``json.dump(..., indent=2)``'s layout, plus a newline.
 
-    Only each instance's ``id`` and ``state`` go through ``json``.  Its
-    actions are written as one join of the text of all of their numbers,
-    each followed by its separator.  That text is each number's ``repr``,
-    as ``json`` writes a float, taken once per distinct bit pattern in
-    the file (``0.0`` and ``-0.0`` differ) from one ``np.unique`` over
-    all the coordinates.
-
-    Each piece of text is encoded to UTF-8 once, and its bytes are both
-    written and hashed.  Then ``_save_sidecar`` puts a binary copy of the
-    instances, with that SHA-256, next to the file for ``load_instances``,
-    or removes an old one.
+    Only each instance's ``id`` and ``state`` go through ``json``.  The
+    text is built in whole-store array passes: one cell per number, its
+    ``repr`` (as ``json`` writes a float, once per distinct bit pattern
+    from one ``np.unique``) and the separator after it, with each
+    instance's head put before its first cell.  The cells are joined,
+    encoded, hashed and written ``_SLICE`` at a time, never as one string
+    of the whole file, which would raise the peak memory.  Then
+    ``_save_sidecar`` puts a binary copy of the instances, with that
+    SHA-256, next to the file for ``load_instances``, or removes an old one.
     """
     insts, sha = list(instances.values()), hashlib.sha256()
     with open(path, "wb") as fh:
@@ -340,8 +338,21 @@ def save_instances(instances: Mapping[str, Instance], path) -> None:
     _save_sidecar(insts, path, sha.digest())
 
 
+_SLICE = 1 << 13  # numbers joined, encoded, hashed and written at a time
+
+
+def _state_text(state) -> str:
+    """``state`` as ``json.dump(..., indent=2)`` writes it in an instance."""
+    # json escapes newlines inside strings, so every "\n" here starts a
+    # line, and indenting it nests the value.  Only a container needs the
+    # indent, which makes json use its pure-Python encoder.
+    if isinstance(state, (dict, list, tuple)):
+        return json.dumps(state, indent=2).replace("\n", "\n    ")
+    return json.dumps(state)
+
+
 def _write_instances(insts: list[Instance], write) -> None:
-    """``save_instances``' text of ``insts``, passed piece by piece to ``write``."""
+    """``save_instances``' text of ``insts``, passed slice by slice to ``write``."""
     if not insts:
         write("[]\n")
         return
@@ -349,28 +360,24 @@ def _write_instances(insts: list[Instance], write) -> None:
     distinct, index = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
     del bits, distinct
-    # Each number's text followed by what comes next: within a row, and
-    # after a row's last number.
-    in_row, row_end = texts + ",\n        ", texts + "\n      ],\n      [\n        "
-    sep, end = "[\n  {\n", 0
-    for inst in insts:
-        # json escapes newlines inside strings, so every "\n" here starts
-        # a line, and indenting it nests the value.  Only a container
-        # needs the indent, which makes json use its pure-Python encoder.
-        if isinstance(inst.state, (dict, list, tuple)):
-            state = json.dumps(inst.state, indent=2).replace("\n", "\n    ")
-        else:
-            state = json.dumps(inst.state)
-        head = (f'{sep}    "id": {json.dumps(inst.id)},\n    "state": {state},\n'
-                '    "actions": [\n      [\n        ')
-        n, d = inst.actions.shape
-        start, end = end, end + n * d
-        cells = in_row[index[start:end]].reshape(n, d)
-        cells[:, -1] = row_end[index[start + d - 1 : end : d]]
-        cells[-1, -1] = texts[index[end - 1]] + "\n      ]\n    ]\n  }"
-        write("".join([head, *cells.ravel().tolist()]))
-        sep = ",\n  {\n"
-    write("\n]\n")
+    # One cell per number: its text followed by what comes next, within a
+    # row, after a row's last number, or after an instance's last number.
+    cells = (texts + ",\n        ")[index]
+    rows, dims = np.array([inst.actions.shape for inst in insts]).T
+    row_ends = np.cumsum(np.repeat(dims, rows)) - 1
+    cells[row_ends] = (texts + "\n      ],\n      [\n        ")[index[row_ends]]
+    ends = np.cumsum(rows * dims)
+    cells[ends - 1] = texts[index[ends - 1]] + "\n      ]\n    ]\n  }"
+    del index
+    head = (',\n  {\n    "id": %s,\n    "state": %s,\n'
+            '    "actions": [\n      [\n        %s')
+    firsts = ends - rows * dims
+    cells[firsts] = [head % (json.dumps(inst.id), _state_text(inst.state), cell)
+                     for inst, cell in zip(insts, cells[firsts].tolist())]
+    cells[0] = "[" + cells[0][1:]
+    cells[-1] += "\n]\n"
+    for lo in range(0, cells.size, _SLICE):
+        write("".join(cells[lo : lo + _SLICE].tolist()))
 
 
 def _save_sidecar(insts: list[Instance], path, sha256: bytes) -> None:
@@ -436,15 +443,19 @@ def load_trajectories(path) -> TrajectorySet:
 
 def save_trajectories(ts: TrajectorySet, path) -> None:
     """Write trajectories in ``json.dump(..., indent=2)``'s layout, plus a
-    newline, with one ``%`` format as in ``save_instances``: only the ids go
-    through ``json``, and each action number is written as its ``repr``."""
+    newline, with one ``%`` format: only the ids go through ``json``, and
+    each action number is written as its ``repr``.  A ``NaN`` or infinite
+    number raises ValueError, and no file is written, as in ``save_json``."""
+    if not np.isfinite(ts.actions).all():
+        raise ValueError("Out of range float values are not JSON compliant")
     d = ts.actions.shape[1]
     entry = ('  {\n    "instance_id": %s,\n    "action": [\n'
              + ",\n".join(["      %r"] * d) + "\n    ]\n  }")
     values = [v for iid, row in zip(ts.instance_ids, ts.actions.tolist())
               for v in (json.dumps(iid), *row)]
+    text = "[\n" + ",\n".join([entry] * len(ts)) % tuple(values) + "\n]\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("[\n" + ",\n".join([entry] * len(ts)) % tuple(values) + "\n]\n")
+        fh.write(text)
 
 
 # -- feasible sets, run configs, manifests ------------------------------------

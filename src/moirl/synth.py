@@ -45,12 +45,12 @@ def random_instances(
     Integer coordinates keep solver scores exact in floating point for
     dyadic-rational weights, which the exact-equality checks rely on.
     """
-    # One draw per instance: a single draw of all of them gives other numbers.
-    draws = [rng.integers(low, high + 1, size=(n_actions, dim)) for _ in range(count)]
-    if not draws:
+    if count <= 0:
         return {}
     ids = [f"{prefix}-{i}" for i in range(count)]
-    actions = np.concatenate(draws).astype(float)
+    # One draw for all instances gives the numbers of one draw per instance:
+    # the bit generator buffers the 32-bit halves across calls.
+    actions = rng.integers(low, high + 1, size=(count * n_actions, dim)).astype(float)
     return dict(zip(ids, make_instances(ids, actions, [n_actions] * count)))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import shutil
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from moirl import cli, io as mio
 from moirl.domain import Ball, Box, Simplex, TrajectorySet, make_instance
 from moirl.learner import RunConfig, RunLog, StepSchedule
+from moirl.synth import random_instances
 
 
 def make_log(k=5, d=2, seed=0):
@@ -146,6 +148,82 @@ class TestSaveInstancesLayout:
             assert p.read_bytes() == b"[]\n"
 
 
+SLICE_EDGE_INSTANCES = {
+    "a": make_instance("a", [[1.0, -0.0, 0.1], [2.0, 0.0, -3.5]],
+                       state={"k": ["ü", None, {"x": "a\nb"}], "n": -0.0}),
+    "b\n\"": make_instance("b\n\"", [[-0.0]], state=None),
+    "c": make_instance("c", [[5e-324, 1e22], [7.0, -0.0], [0.0, 0.0]],
+                       state=[1, [2, {}], "s"]),
+    "d": make_instance("d", [[1e16]], state="line\n\"q\""),
+    "e": make_instance("e", [[0.5, 0.25, -0.0, 1.0]], state=[]),
+}
+
+
+class TestSaveInstancesSlices:
+    """``save_instances`` joins, encodes, hashes and writes the text of a
+    fixed number of numbers at a time; instance heads, row ends and
+    instance ends fall anywhere in a slice."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_bytes_equal_json_dump_at_any_slice_size(self, tmp_path, size):
+        p = tmp_path / "instances.json"
+        with mock.patch.object(mio, "_SLICE", size):
+            mio.save_instances(SLICE_EDGE_INSTANCES, p)
+        assert p.read_bytes() == json_dump_bytes(SLICE_EDGE_INSTANCES)
+
+    @given(shared_value_maps(), st.sampled_from([1, 2, 7]))
+    @settings(max_examples=60)
+    def test_shared_values_at_any_slice_size(self, tmp_path_factory, instances, size):
+        p = tmp_path_factory.mktemp("slices") / "instances.json"
+        with mock.patch.object(mio, "_SLICE", size):
+            mio.save_instances(instances, p)
+        assert p.read_bytes() == json_dump_bytes(instances)
+
+    def test_written_and_hashed_once_per_slice(self, tmp_path, monkeypatch):
+        instances = random_instances(np.random.default_rng(0), 1000, 3, 5)
+        p = tmp_path / "instances.json"
+        writes, updates = [], []
+        real_open, real_sha256 = open, hashlib.sha256
+
+        class CountingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                writes.append(len(data))
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        class CountingSha:
+            def __init__(self):
+                self.sha = real_sha256()
+
+            def update(self, data):
+                updates.append(len(data))
+                self.sha.update(data)
+
+            def digest(self):
+                return self.sha.digest()
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return CountingFile(fh) if str(file) == str(p) and "w" in mode else fh
+
+        monkeypatch.setattr(mio, "open", counting_open, raising=False)
+        monkeypatch.setattr(mio, "hashlib", SimpleNamespace(sha256=CountingSha))
+        mio.save_instances(instances, p)
+        cells = sum(inst.actions.size for inst in instances.values())
+        most = -(-cells // mio._SLICE) + 1
+        assert 0 < len(writes) == len(updates) <= most < len(instances)
+        assert sum(writes) == sum(updates) == p.stat().st_size
+        assert p.read_bytes() == json_dump_bytes(instances)
+
+
 def loop_vector(obj, ptr):
     """The element-by-element schema check, the reference for the fast path."""
     if not isinstance(obj, list) or not obj:
@@ -270,6 +348,14 @@ class TestSaveTrajectoriesLayout:
                        for iid, row in zip(ts.instance_ids, ts.actions.tolist())],
                       p / "json.json")
         assert (p / "direct.json").read_bytes() == (p / "json.json").read_bytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected_and_nothing_written(self, tmp_path, bad):
+        p, ts = tmp_path / "expert_trajectories.json", TrajectorySet(
+            ["a", "b"], [[0.5, 1.0], [bad, 2.0]])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            mio.save_trajectories(ts, p)
+        assert not p.exists()
 
 
 FINITE_FLOATS = NUMBERS | st.sampled_from([-5e-324, 1e-310, 1e300, -1.7976931348623157e308])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import objective_runs, random_problem
-from moirl import learner
+from moirl import io as mio, learner
 from moirl.domain import (
     Ball,
     Box,
@@ -362,3 +362,57 @@ class TestFixedPointShortcut:
             log = train(data, instances, simplex, phi1=phi1, cfg=cfg)
         assert calls.call_count == 40
         assert_same_log(log, plain_loop(instances, data, simplex, phi1, cfg))
+
+
+@st.composite
+def realizable_runs(draw):
+    """A feasible set (box, ball or simplex), ground truth phi0 inside it,
+    explicit instances with expert decisions from phi0, a start inside the
+    set and a run config: F(phi0) = 0, the least value of F."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    dim = draw(st.integers(1, 4))
+    if kind == "box":
+        feasible = Box(lo=-np.ones(dim), hi=np.ones(dim))
+        phi0 = rng.uniform(-1.0, 1.0, size=dim)
+    elif kind == "ball":
+        feasible = Ball(center=np.zeros(dim), radius=1.0)
+        u = rng.normal(size=dim)
+        phi0 = rng.uniform(0.0, 1.0) * u / np.linalg.norm(u)
+    else:
+        feasible = Simplex(dim)
+        phi0 = project(feasible, rng.dirichlet(np.ones(dim)))
+    instances = random_instances(rng, draw(st.integers(1, 8)), dim,
+                                 draw(st.integers(1, 8)), -5, 5)
+    data = expert_trajectories(phi0, instances)
+    phi1 = project(feasible, 2.0 * rng.normal(size=dim))
+    schedule = StepSchedule(draw(st.sampled_from(["inverse_sqrt", "harmonic"])),
+                            draw(st.sampled_from([0.02, 0.3, 1.0, 4.0])))
+    cfg = RunConfig(schedule=schedule, max_iters=draw(st.integers(1, 40)))
+    return instances, data, feasible, phi0, phi1, cfg
+
+
+class TestDescentInequality:
+    """Every ``run.csv`` row satisfies projected subgradient descent's
+    inequality with phi* = phi0 and F* = 0:
+    ``|phi_{k+1} - phi0|^2 <= |phi_k - phi0|^2 - 2 a_k F_k + a_k^2 |g_k|^2``,
+    and so its sum,
+    ``min_{i<=k} F_i <= (|phi_1 - phi0|^2 + sum a_i^2 |g_i|^2) / (2 sum a_i)``.
+    Both hold in exact arithmetic; the slack is relative rounding."""
+
+    @given(realizable_runs())
+    @settings(max_examples=150)
+    def test_every_row_of_run_csv(self, tmp_path_factory, run):
+        instances, data, feasible, phi0, phi1, cfg = run
+        path = tmp_path_factory.mktemp("descent") / "run.csv"
+        mio.write_runlog_csv(train(data, instances, feasible, phi1=phi1, cfg=cfg), path)
+        log = mio.read_runlog_csv(path)
+        alpha = np.array([cfg.schedule.step(int(k)) for k in log.iterations])
+        dist2 = ((log.weights - phi0) ** 2).sum(axis=1)
+        step2 = alpha**2 * log.grad_norms**2
+        slack = 1e-12 * (dist2 + step2)
+        bound = dist2 - 2 * alpha * log.objectives + step2
+        assert np.all(dist2[1:] <= bound[:-1] + slack[:-1])
+        summed = (dist2[0] + np.cumsum(step2)) / (2 * np.cumsum(alpha))
+        summed_slack = np.cumsum(slack) / (2 * np.cumsum(alpha))
+        assert np.all(log.prefix_best() <= summed + summed_slack)
