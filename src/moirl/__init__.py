@@ -24,7 +24,6 @@ from .guarantees import corollary_check, equivalence_check, reward_gap_report
 from .learner import RunConfig, RunLog, StepSchedule, objective_value, subgradient, train
 from .projection import contains, project
 from .solvers import (
-    ArgmaxResult,
     KnapsackSpec,
     knapsack_instance,
     polytope_vertex_instance,
@@ -39,8 +38,7 @@ __all__ = [
     "RunConfig", "RunLog", "StepSchedule", "objective_value", "subgradient",
     "train",
     "contains", "project",
-    "ArgmaxResult", "KnapsackSpec", "knapsack_instance",
-    "polytope_vertex_instance", "solve",
+    "KnapsackSpec", "knapsack_instance", "polytope_vertex_instance", "solve",
     "linear_dual_lower_bound", "w1_exact",
 ]
 

@@ -11,7 +11,6 @@ file).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -60,8 +59,6 @@ def cmd_train(args) -> int:
     data = mio.load_trajectories(data_dir / "expert_trajectories.json")
     feasible = mio.load_feasible_set(args.feasible)
     cfg, phi1 = mio.load_train_config(args.config)
-    if args.tie_tol is not None:
-        cfg = dataclasses.replace(cfg, tie_tol=args.tie_tol)
     store, expert = checked_decisions(data, instances)
     log = train_packed(store, expert, feasible, phi1=phi1, cfg=cfg)
     report = reward_gap_report_packed(log.best_weights, store, expert)
@@ -167,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("feasible", help="feasible set JSON file")
     t.add_argument("config", help="run config JSON file")
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--tie-tol", type=float, default=None, dest="tie_tol",
-                   help="override the config's solver tie tolerance")
     t.set_defaults(func=cmd_train)
 
     w = sub.add_parser("wasserstein", help="W1 distance between trajectory files")

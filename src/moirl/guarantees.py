@@ -24,7 +24,7 @@ from .domain import (
     checked_decisions,
 )
 from .learner import RunLog
-from .solvers import solve_packed
+from .solvers import check_tie_tol, solve_packed
 from .wasserstein import w1_exact
 
 __all__ = [
@@ -52,7 +52,7 @@ def _decisions(phi0, data, instances):
     every expert action."""
     store, expert = checked_decisions(data, instances)
     if phi0 is not None:
-        truth = solve_packed(phi0, store, tie_tol=0.0)
+        truth = solve_packed(phi0, store)
         wrong = np.flatnonzero(np.any(truth != expert, axis=1))
         if wrong.size:
             n = int(wrong[0])
@@ -86,19 +86,20 @@ def reward_gap_report(
 
     Each gap is nonnegative and their mean is the training objective at
     ``phi``.  ``phi0`` may be None; otherwise the expert data must be the
-    exact solver's output under it.
+    exact solver's output under it.  ``tie_tol`` must be 0.
     """
+    check_tie_tol(tie_tol)
     store, expert = _decisions(phi0, data, instances)
-    return reward_gap_report_packed(phi, store, expert, tie_tol)
+    return reward_gap_report_packed(phi, store, expert)
 
 
 def reward_gap_report_packed(
-    phi, store: PackedInstances, expert: np.ndarray, tie_tol: float = 0.0
+    phi, store: PackedInstances, expert: np.ndarray
 ) -> GapReport:
     """``reward_gap_report`` on the decisions that ``checked_decisions``
     validated and packed, with no ground-truth check."""
     w = as_weights(phi, store.dim)
-    return _gaps(w, solve_packed(w, store, tie_tol), expert)
+    return _gaps(w, solve_packed(w, store), expert)
 
 
 def _gaps(w: np.ndarray, chosen: np.ndarray, expert: np.ndarray) -> GapReport:
@@ -133,12 +134,12 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Evaluate the three completion criteria independently at ``phi``.
 
-    Runs with exact tie-breaking (tie_tol = 0); meaningful on instances
-    whose scores are exact in floating point.  ``phi0`` may be None; the
-    criteria agree when some weights' exact solve gives the expert data.
+    Meaningful on instances whose scores are exact in floating point.
+    ``phi0`` may be None; the criteria agree when some weights' exact
+    solve gives the expert data.
     """
     store, expert = _decisions(phi0, data, instances)
-    return _equivalence(solve_packed(phi, store, tie_tol=0.0), expert)
+    return _equivalence(solve_packed(phi, store), expert)
 
 
 def _equivalence(learner: np.ndarray, expert: np.ndarray) -> EquivalenceReport:
@@ -181,7 +182,7 @@ def _check_budget(log: RunLog, k: int, eps: float, store, expert,
     gap report at weights with iterate k's bytes, if one is at hand."""
     # Iteration k is the first with F < eps, so its iterate is the best so far.
     if report is None:
-        report = reward_gap_report_packed(log.weights[k - 1], store, expert, 0.0)
+        report = reward_gap_report_packed(log.weights[k - 1], store, expert)
     if not report.within_budget(eps):
         raise GuaranteeViolation(
             f"reward gap exceeds eps*N at iteration {k}: "
@@ -197,13 +198,13 @@ def verify_run(
     instances: Mapping[str, Instance],
     eps: float,
 ) -> tuple[GapReport, Optional[int], EquivalenceReport]:
-    """``reward_gap_report`` (``tie_tol`` 0), ``corollary_check`` and
+    """``reward_gap_report``, ``corollary_check`` and
     ``equivalence_check`` at ``phi``, raising in that order, on one
     validated store and one exact solve under ``phi``.  The budget is
     checked on that solve's report when iterate k has ``phi``'s bytes."""
     store, expert = _decisions(phi0, data, instances)
     w = as_weights(phi, store.dim)
-    learner = solve_packed(w, store, tie_tol=0.0)
+    learner = solve_packed(w, store)
     report = _gaps(w, learner, expert)
     k = _first_below(log, eps)
     if k is not None:

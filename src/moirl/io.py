@@ -69,9 +69,14 @@ def _reject_constant(name: str):
 
 
 def load_json(path) -> Any:
-    """Parse a JSON file; ``NaN``, ``Infinity`` and ``-Infinity`` raise SchemaError."""
+    """Parse a JSON file; ``NaN``, ``Infinity`` and ``-Infinity`` raise
+    SchemaError, and so does nesting deeper than the decoder's recursion
+    limit."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise SchemaError("", "JSON nested too deeply") from None
 
 
 def save_json(obj, path) -> None:
@@ -237,7 +242,7 @@ def _sidecar_path(path) -> Path:
 # What reading a missing, truncated or foreign sidecar can raise.  It is
 # only a copy, so the JSON is read instead.
 _UNREADABLE = (OSError, EOFError, KeyError, TypeError, ValueError,
-               zipfile.BadZipFile)
+               RecursionError, zipfile.BadZipFile)
 
 
 def _load_sidecar(path) -> dict[str, Instance] | None:

@@ -23,7 +23,7 @@ from .domain import (
     checked_decisions,
 )
 from .projection import contains, project
-from .solvers import solve_packed
+from .solvers import check_tie_tol, solve_packed
 
 __all__ = [
     "StepSchedule",
@@ -60,15 +60,14 @@ class RunConfig:
     schedule: StepSchedule = StepSchedule()
     max_iters: int = 1000
     target_eps: Optional[float] = None
-    tie_tol: float = 0.0
+    tie_tol: float = 0.0  # must be 0: ties are broken exactly
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.target_eps is not None and not self.target_eps > 0:
             raise ValueError("target_eps must be positive when given")
-        if not 0 <= self.tie_tol < np.inf:
-            raise ValueError("tie_tol must be finite and nonnegative")
+        check_tie_tol(self.tie_tol)
 
 
 @dataclass
@@ -107,27 +106,27 @@ class RunLog:
         return np.minimum.accumulate(self.objectives)
 
 
-def objective_value(phi, data, instances, tie_tol: float = 0.0) -> float:
+def objective_value(phi, data, instances) -> float:
     """Mean best-achievable reward under phi minus mean expert reward.
 
     Nonnegative whenever every expert action is feasible for its
     instance; zero iff phi rates each expert action as optimal.
     """
     store, expert = checked_decisions(data, instances)
-    return _evaluate(as_weights(phi, store.dim), store, expert, tie_tol)[0]
+    return _evaluate(as_weights(phi, store.dim), store, expert)[0]
 
 
-def subgradient(phi, data, instances, tie_tol: float = 0.0) -> np.ndarray:
+def subgradient(phi, data, instances) -> np.ndarray:
     """A subgradient of the objective: mean solved action minus mean expert action."""
     store, expert = checked_decisions(data, instances)
-    return _evaluate(as_weights(phi, store.dim), store, expert, tie_tol)[1]
+    return _evaluate(as_weights(phi, store.dim), store, expert)[1]
 
 
 def _evaluate(
-    phi: np.ndarray, store: PackedInstances, expert: np.ndarray, tie_tol: float
+    phi: np.ndarray, store: PackedInstances, expert: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """The objective at the weight vector ``phi`` and its subgradient."""
-    g = (solve_packed(phi, store, tie_tol) - expert).mean(axis=0)
+    g = (solve_packed(phi, store) - expert).mean(axis=0)
     return float(g @ phi), g
 
 
@@ -173,7 +172,7 @@ def train_packed(
 
     phis, objs, gnorms = [], [], []
     for k in range(1, cfg.max_iters + 1):
-        obj, g = _evaluate(phi, store, expert, cfg.tie_tol)
+        obj, g = _evaluate(phi, store, expert)
         gnorm = float(np.linalg.norm(g))
         if not (math.isfinite(obj) and math.isfinite(gnorm)):
             raise ValueError(f"objective or subgradient is not finite at iteration {k}")

@@ -14,16 +14,12 @@ import numpy as np
 from .domain import Instance, PackedInstances, as_weights, make_instance
 
 __all__ = [
-    "ArgmaxResult",
     "KnapsackSpec",
     "solve",
     "solve_packed",
     "knapsack_instance",
     "polytope_vertex_instance",
-    "DEFAULT_TIE_TOL",
 ]
-
-DEFAULT_TIE_TOL = 1e-9
 
 # Explicit enumeration bound for knapsack subsets (2^20 candidate vectors).
 MAX_KNAPSACK_ITEMS = 20
@@ -35,70 +31,69 @@ class ArgmaxResult:
     """Outcome of maximizing weights . action over an instance's actions."""
 
     optimal_value: float
-    optimal_set: np.ndarray  # (n_tied, d), all actions within tie tolerance
+    optimal_set: np.ndarray  # (n_tied, d), every action scoring optimal_value
     chosen: np.ndarray  # lexicographic minimum of optimal_set
 
 
-def _argmax_segments(phi, store: PackedInstances, tie_tol: float):
-    """Each segment's maximum score, the rows within tie tolerance of their
-    segment's maximum, and each segment's first such row (row indices).
+def check_tie_tol(tie_tol) -> None:
+    """Raise ValueError unless ``tie_tol`` is 0.
 
-    One ``actions @ phi`` product scores every row.  With ``tie_tol > 0``
-    a row ties if it scores at least ``best - tie_tol * max(1, |best|)``;
-    ``tie_tol=0`` gives the exact argmax (meaningful when scores are
-    exact floats, e.g. integer actions with dyadic-rational weights).
-    Actions are in canonical order, so a segment's first tied row is the
-    lexicographic minimum of its optimal set.
+    Every solve breaks ties exactly: only then is each chosen action a
+    maximizer, and the mean of chosen minus expert actions a subgradient
+    of the training objective.  ``solve``, ``reward_gap_report`` and
+    ``RunConfig`` keep a ``tie_tol`` argument for callers that pass 0.
     """
-    scores = _scores(phi, store, tie_tol)
+    if not tie_tol == 0:
+        raise ValueError(f"tie_tol must be 0 (ties are broken exactly), "
+                         f"got {tie_tol!r}")
+
+
+def _argmax_segments(phi, store: PackedInstances):
+    """Each segment's maximum score, the rows that score it, and each
+    segment's first such row (row indices).
+
+    One ``actions @ phi`` product scores every row.  Ties are exact
+    (meaningful when scores are exact floats, e.g. integer actions with
+    dyadic-rational weights).  Actions are in canonical order, so a
+    segment's first tied row is the lexicographic minimum of its optimal
+    set.
+    """
+    scores = store.actions @ as_weights(phi, store.dim)
     best = np.maximum.reduceat(scores, store.starts)
-    threshold = _threshold(best, tie_tol)
-    tied = np.flatnonzero(scores >= np.repeat(threshold, store.sizes))
+    _check_candidates(best)
+    tied = np.flatnonzero(scores == np.repeat(best, store.sizes))
     return best, tied, tied[np.searchsorted(tied, store.starts)]
 
 
-def _scores(phi, store: PackedInstances, tie_tol: float) -> np.ndarray:
-    """``store.actions @ phi``, after checking ``phi`` and ``tie_tol``."""
-    w = as_weights(phi, store.dim)
-    if not tie_tol >= 0:
-        raise ValueError("tie tolerance must be nonnegative")
-    return store.actions @ w
-
-
-def _threshold(best, tie_tol: float):
-    """The lowest score that ties with ``best`` (one value per segment)."""
-    threshold = best
-    if tie_tol > 0:
-        threshold = best - tie_tol * np.maximum(1.0, np.abs(best))
-    # A segment ties no row exactly when its threshold is NaN: a NaN score
-    # makes its maximum NaN, an overflow to +inf with tie_tol > 0 gives
-    # inf - inf, and any other threshold is at most the maximum.  Such a
-    # segment would get the next segment's first tied row.
-    if np.isnan(threshold).any():
+def _check_candidates(best) -> None:
+    """Raise if a segment's maximum score ``best`` is NaN: a NaN score
+    makes its maximum NaN, and then no row ties with it.  Such a segment
+    would get the next segment's first tied row."""
+    if np.isnan(best).any():
         raise ValueError("empty candidate set")
-    return threshold
 
 
 _ONE_START = np.zeros(1, dtype=np.intp)
 
 
-def solve(phi, inst: Instance, tie_tol: float = DEFAULT_TIE_TOL) -> ArgmaxResult:
+def solve(phi, inst: Instance, tie_tol: float = 0.0) -> ArgmaxResult:
     """Maximize ``phi . a`` over ``inst.actions``, lexicographic tie-break.
 
     The one-instance case of ``solve_packed``: the same kernel on a store
-    that holds ``inst.actions`` itself, so the scores, the tie threshold
-    and the choice are those of ``solve_packed(phi, pack([inst]), tie_tol)``
-    bit for bit.  The optimal set holds every action within
-    ``tie_tol * max(1, |optimal_value|)`` of the maximum.
+    that holds ``inst.actions`` itself, so the scores and the choice are
+    those of ``solve_packed(phi, pack([inst]))`` bit for bit.  The optimal
+    set holds every action that scores exactly the maximum.  ``tie_tol``
+    must be 0.
     """
+    check_tie_tol(tie_tol)
     store = PackedInstances(inst.actions, _ONE_START, np.array([len(inst.actions)]))
-    best, tied, first = _argmax_segments(phi, store, tie_tol)
+    best, tied, first = _argmax_segments(phi, store)
     return ArgmaxResult(float(best[0]), inst.actions[tied], inst.actions[first[0]].copy())
 
 
-def solve_packed(phi, store: PackedInstances, tie_tol: float) -> np.ndarray:
-    """``solve(phi, inst, tie_tol).chosen`` for every packed instance at
-    once, as an (N, d) array scored by one product over the whole store.
+def solve_packed(phi, store: PackedInstances) -> np.ndarray:
+    """``solve(phi, inst).chosen`` for every packed instance at once, as
+    an (N, d) array scored by one product over the whole store.
 
     Across several instances the choice equals ``solve``'s whenever each
     row scores the same in the packed array as in its instance's own
@@ -107,17 +102,14 @@ def solve_packed(phi, store: PackedInstances, tie_tol: float) -> np.ndarray:
     its position in the array (OpenBLAS does at d >= 8), and then two
     actions whose exact scores tie can be broken differently.
 
-    A store of one segment gets the same row from one ``np.argmax`` over
-    the same scores (the first maximum, or with ``tie_tol > 0`` the first
-    row at or above the threshold), with no index of the tied rows.
+    A store of one segment gets the same row, the first maximum, from one
+    ``np.argmax`` over the same scores, with no index of the tied rows.
     """
     if store.starts.size != 1:
-        return store.actions[_argmax_segments(phi, store, tie_tol)[2]]
-    scores = _scores(phi, store, tie_tol)
+        return store.actions[_argmax_segments(phi, store)[2]]
+    scores = store.actions @ as_weights(phi, store.dim)
     top = np.argmax(scores)  # the first NaN, if there is one
-    threshold = _threshold(scores[top], tie_tol)
-    if tie_tol > 0:
-        top = np.argmax(scores >= threshold)
+    _check_candidates(scores[top])
     return store.actions[[top]]
 
 

@@ -116,5 +116,5 @@ def instances_from_spec(obj, seed: int = 0) -> dict[str, Instance]:
 def expert_trajectories(phi0, instances: Mapping[str, Instance]) -> TrajectorySet:
     """One expert decision per instance, from the exact solver under phi0."""
     insts = list(instances.values())
-    chosen = solve_packed(phi0, pack(insts), tie_tol=0.0)
+    chosen = solve_packed(phi0, pack(insts))
     return TrajectorySet([inst.id for inst in insts], chosen)

@@ -147,8 +147,8 @@ class TestTrain:
         assert (run_dir / "gap_report.json").exists()
 
     def test_gap_report_breaks_ties_exactly(self, tmp_path, capsys):
-        # At tie_tol 1e-9 the solver takes [0, 0], which scores 2**-32
-        # below the expert's [1, -1]; the report uses the exact argmax.
+        # [1, -1] scores 2**-32 above [0, 0]; the exact argmax takes it,
+        # as the expert did, so F and the gap are 0.
         spec, phi0, box, config = (tmp_path / f for f in (
             "problem.json", "phi0.json", "box.json", "config.json"))
         write_json(spec, {"instances": [
@@ -156,8 +156,7 @@ class TestTrain:
         write_json(phi0, {"phi0": [1.0, 0.5]})
         write_json(box, {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]})
         write_json(config, {"schedule": {"kind": "inverse_sqrt", "alpha0": 0.5},
-                            "max_iters": 1, "tie_tol": 1e-9,
-                            "phi1": [1 + 2**-32, 1.0]})
+                            "max_iters": 1, "phi1": [1 + 2**-32, 1.0]})
         data_dir, run_dir = tmp_path / "data", tmp_path / "run"
         assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
         capsys.readouterr()
@@ -166,6 +165,7 @@ class TestTrain:
         assert capsys.readouterr().err == ""
         report = json.loads((run_dir / "gap_report.json").read_text())
         assert report["gaps"] == [0.0]
+        assert json.loads((run_dir / "summary.json").read_text())["best_F"] == 0.0
 
     def test_unrealizable_data_trains_with_and_without_manifest(self, fixture_files):
         tmp_path, spec, phi0, feasible, config = fixture_files
@@ -227,26 +227,47 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:VALIDATION:")
 
-    @pytest.mark.parametrize("case", ["config_tie_tol", "flag_tie_tol", "box_lo"])
+    @pytest.mark.parametrize("case", ["config_tie_tol", "box_lo"])
     def test_nan_input_exits_2(self, fixture_files, capsys, case):
         tmp_path, spec, phi0, feasible, config = fixture_files
         data_dir = tmp_path / "data"
         assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
-        extra = []
         if case == "config_tie_tol":
             cfg = json.loads(config.read_text())
             write_json(config, {**cfg, "tie_tol": float("nan")})
-        elif case == "flag_tie_tol":
-            extra = ["--tie-tol", "nan"]
         else:
             write_json(feasible, {"kind": "box", "lo": [float("nan"), -1.0],
                                   "hi": [1.0, 1.0]})
         capsys.readouterr()
         code = main(["train", str(data_dir), str(feasible), str(config),
-                     "--out", str(tmp_path / "run"), *extra])
+                     "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
+
+    @pytest.mark.parametrize("tie_tol", [1e-9, -1.0, 1])
+    def test_nonzero_tie_tol_exits_2_and_writes_nothing(self, fixture_files, capsys,
+                                                        tie_tol):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        write_json(config, {**json.loads(config.read_text()), "tie_tol": tie_tol})
+        capsys.readouterr()
+        code = main(["train", str(data_dir), str(feasible), str(config),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error:VALIDATION: tie_tol must be 0 (ties are broken "
+                       f"exactly), got {float(tie_tol)!r}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_no_tie_tol_flag(self, fixture_files, capsys):
+        tmp_path, _, _, feasible, config = fixture_files
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(tmp_path), str(feasible), str(config),
+                  "--out", str(tmp_path / "run"), "--tie-tol", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tie-tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("number", ["NaN", "1" + "0" * 400],
                              ids=["nan", "overflowing-integer"])
@@ -380,6 +401,27 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert code == 4
         assert len(err) == 1 and err[0].startswith("error:IO:")
+
+    # Deeper than the JSON decoder's recursion limit.
+    @pytest.mark.parametrize("command", ["generate", "train", "wasserstein"])
+    def test_deeply_nested_json_exits_2(self, fixture_files, capsys, command):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {
+            "generate": ["generate", str(deep), str(phi0), "--out", str(tmp_path / "o")],
+            "train": ["train", str(data_dir), str(feasible), str(deep),
+                      "--out", str(tmp_path / "run")],
+            "wasserstein": ["wasserstein", str(data_dir / "expert_trajectories.json"),
+                            str(deep)],
+        }[command]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error:VALIDATION: : JSON nested too deeply"]
 
 
 class TestWasserstein:

@@ -29,6 +29,14 @@ class TestRewardGapReport:
         assert np.all(report.gaps == 0.0)
         assert report.objective == 0.0
 
+    @pytest.mark.parametrize("tie_tol", [1e-9, -1.0, np.nan])
+    def test_tie_tol_must_be_zero(self, tie_tol):
+        instances, data, phi0, _ = random_problem(seed=1)
+        with pytest.raises(ValueError, match="tie_tol must be 0"):
+            reward_gap_report(phi0, phi0, data, instances, tie_tol=tie_tol)
+        for zero in (0, -0.0):
+            assert not reward_gap_report(phi0, phi0, data, instances, zero).gaps.any()
+
     def test_single_decision_gap_equals_objective(self):
         # At N=1 the per-decision gap is exactly N * objective.
         instances, data, phi0, rng = random_problem(seed=2, count=1)
@@ -213,7 +221,7 @@ class TestFirstBelow:
             return
         seen = []
 
-        def gap_report(phi, store, expert, tie_tol):
+        def gap_report(phi, store, expert):
             seen.append(phi)
             return GapReport(gaps=np.zeros(1), objective=0.0, n=1)
 

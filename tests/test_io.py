@@ -597,14 +597,14 @@ class TestRunConfigRoundTrip:
             schedule=StepSchedule("harmonic", 0.75),
             max_iters=123,
             target_eps=1e-3,
-            tie_tol=1e-9,
+            tie_tol=0.0,
         )
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({
             "schedule": {"kind": "harmonic", "alpha0": 0.75},
             "max_iters": 123,
             "target_eps": 1e-3,
-            "tie_tol": 1e-9,
+            "tie_tol": 0.0,
         }))
         assert mio.load_run_config(p) == cfg
 
@@ -922,6 +922,11 @@ class TestSidecar:
     @pytest.mark.parametrize("ids", [["a", "a"], ["a", 2], "xy", ["a"]])
     def test_bad_ids(self, saved, ids):
         text = json.dumps([ids, [{"k": [1, None]}, "s"]])
+        write_sidecar(saved, header=np.frombuffer(text.encode(), np.uint8))
+        self.assert_json_result(saved)
+
+    def test_header_nested_too_deeply(self, saved):
+        text = "[" * 100_000 + "]" * 100_000
         write_sidecar(saved, header=np.frombuffer(text.encode(), np.uint8))
         self.assert_json_result(saved)
 

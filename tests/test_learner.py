@@ -103,6 +103,14 @@ class TestStepSchedule:
             StepSchedule("constant", 1.0)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("tie_tol", [1e-9, -1.0, np.nan, np.inf])
+    def test_tie_tol_must_be_zero(self, tie_tol):
+        with pytest.raises(ValueError, match="tie_tol must be 0"):
+            RunConfig(tie_tol=tie_tol)
+        assert RunConfig(tie_tol=-0.0) == RunConfig()
+
+
 class TestTrain:
     def test_fixed_point_at_ground_truth(self, unit_ball2):
         instances, data, phi0, _ = random_problem(seed=21)
@@ -192,7 +200,7 @@ class TestTrain:
         expert = np.stack([t.action for t in data])
         phi, phis, objs, gnorms = phi1, [], [], []
         for k in range(1, cfg.max_iters + 1):
-            chosen = np.stack([solve(phi, inst, cfg.tie_tol).chosen for inst in insts])
+            chosen = np.stack([solve(phi, inst).chosen for inst in insts])
             g = (chosen - expert).mean(axis=0)
             phis.append(phi)
             objs.append(float(g @ phi))
@@ -244,7 +252,7 @@ class TestBestIterate:
         store, expert = checked_decisions(data, instances)
         script = iter(objectives)
 
-        def scripted(phi, store, expert, tie_tol):
+        def scripted(phi, store, expert):
             obj = next(script)
             return obj, np.array([obj, 1.0])  # every iterate differs from the last
 
@@ -271,7 +279,7 @@ def plain_loop(instances, data, feasible, phi1, cfg):
     expert = np.stack([t.action for t in data])
     phi, phis, objs, gnorms = phi1, [], [], []
     for k in range(1, cfg.max_iters + 1):
-        chosen = np.stack([solve(phi, inst, cfg.tie_tol).chosen for inst in insts])
+        chosen = np.stack([solve(phi, inst).chosen for inst in insts])
         g = (chosen - expert).mean(axis=0)
         phis.append(phi)
         objs.append(float(g @ phi))

@@ -146,10 +146,19 @@ class TestSolve:
             assert again.optimal_value == first.optimal_value
             assert np.array_equal(again.chosen, first.chosen)
 
-    def test_tie_tol_merges_near_optimal(self):
+    def test_near_optimal_action_not_tied(self):
         inst = make_instance("a", [[1.0, 0.0], [1.0 - 1e-12, 1.0]])
-        r = solve(np.array([1.0, 0.0]), inst, tie_tol=1e-9)
-        assert len(r.optimal_set) == 2
+        r = solve(np.array([1.0, 0.0]), inst)
+        assert r.optimal_set.tolist() == [[1.0, 0.0]]
+        assert r.chosen.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("tie_tol", [1e-9, 0.3, np.nan, np.inf])
+    def test_tie_tol_must_be_zero(self, tie_tol):
+        inst = make_instance("a", self.ACTIONS)
+        with pytest.raises(ValueError, match="tie_tol must be 0"):
+            solve(np.array([1.0, 0.0]), inst, tie_tol)
+        for zero in (0, 0.0, -0.0):
+            assert solve(np.array([1.0, 0.0]), inst, zero).chosen.tolist() == [1.0, -1.0]
 
 
 # Tie-heavy coordinates, signed zeros included.
@@ -161,7 +170,7 @@ NON_DYADIC = st.sampled_from([0.1, -0.3, 1 / 3, 0.7]) | st.floats(-3, 3)
 @st.composite
 def packed_problems(draw, dims, weights):
     """Instances of mixed sizes (1-row segments and one-instance lists
-    included), weights and a tie tolerance."""
+    included) and weights."""
     d = draw(dims)
     row = st.lists(COORDS, min_size=d, max_size=d)
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
@@ -170,35 +179,33 @@ def packed_problems(draw, dims, weights):
         for n, size in enumerate(sizes)
     ]
     phi = np.array(draw(st.lists(weights, min_size=d, max_size=d)))
-    return insts, phi, draw(st.sampled_from([0.0, 1e-9, 0.3]))
+    return insts, phi
 
 
-def solve_one_packed(phi, inst, tie_tol):
+def solve_one_packed(phi, inst):
     """``solve_packed`` on a store of ``inst`` alone, as one row."""
-    return solve_packed(phi, pack([inst]), tie_tol)[0]
+    return solve_packed(phi, pack([inst]))[0]
 
 
 OVERFLOWING = st.sampled_from([1e308, -1e308, 5e307, -5e307, 0.0, 1.0])
 
 
-def segment_choices(phi, store, tie_tol):
+def segment_choices(phi, store):
     """Each segment's first row whose score in ``store.actions @ phi``
-    reaches its segment's tie threshold, as bytes, or None if no row does
-    (a NaN score or threshold), one segment at a time."""
+    equals its segment's maximum, as bytes, or None if no row does (a NaN
+    score), one segment at a time."""
     scores = store.actions @ phi
     out = []
     for start, size in zip(store.starts, store.sizes):
         seg = scores[start : start + size]
-        best = seg.max()  # NaN if any score is NaN
-        threshold = best - tie_tol * max(1.0, abs(best)) if tie_tol > 0 else best
-        tied = np.flatnonzero(seg >= threshold)
+        tied = np.flatnonzero(seg == seg.max())  # max is NaN if any score is
         out.append(store.actions[start + tied[0]].tobytes() if tied.size else None)
     return out
 
 
-def assert_packed_matches_solve(insts, phi, tie_tol):
-    got = solve_packed(phi, pack(insts), tie_tol)
-    want = np.stack([solve(phi, inst, tie_tol).chosen for inst in insts])
+def assert_packed_matches_solve(insts, phi):
+    got = solve_packed(phi, pack(insts))
+    want = np.stack([solve(phi, inst).chosen for inst in insts])
     assert got.tobytes() == want.tobytes()
 
 
@@ -219,43 +226,33 @@ class TestSolvePacked:
 
     # ``solve`` is the kernel on a store holding the instance's own array,
     # so it agrees with ``solve_packed`` and with the direct formula (one
-    # product, its maximum, and every row at or above the threshold) bit
-    # for bit at any dimension, inexact scores included.
+    # product, its maximum, and every row that scores it) bit for bit at
+    # any dimension, inexact scores included.
     @given(packed_problems(st.integers(5, 12), NON_DYADIC))
     @settings(max_examples=100)
     def test_solve_is_the_one_instance_case(self, problem):
-        insts, phi, tie_tol = problem
+        insts, phi = problem
         for inst in insts:
-            r = solve(phi, inst, tie_tol)
-            assert r.chosen.tobytes() == solve_one_packed(phi, inst, tie_tol).tobytes()
+            r = solve(phi, inst)
+            assert r.chosen.tobytes() == solve_one_packed(phi, inst).tobytes()
             scores = inst.actions @ phi
             best = float(scores.max())
-            tied = inst.actions[scores >= best - tie_tol * max(1.0, abs(best))]
+            tied = inst.actions[scores == best]
             assert repr(r.optimal_value) == repr(best)
             assert r.optimal_set.tobytes() == tied.tobytes()
             assert r.chosen.tobytes() == np.array(min(tied.tolist())).tobytes()
 
-    def test_nan_tie_tol_rejected_as_by_solve_packed(self):
-        inst = make_instance("a", [[0.0], [1.0]])
-        for call in (solve, solve_one_packed):
-            with pytest.raises(ValueError, match="tie tolerance"):
-                call(np.array([1.0]), inst, np.nan)
-
     @np.errstate(over="ignore", invalid="ignore")
     def test_overflowing_score(self):
-        # The top score overflows to inf.  At tie_tol=0 the threshold is
-        # inf itself, and the overflowing row is chosen; at tie_tol > 0 it
-        # is inf - inf = NaN, and no row ties.
+        # The top score overflows to inf, which ties with itself: the
+        # overflowing row is chosen.
         inst = make_instance("a", [[1.0], [1e308]])
         phi = np.array([10.0])
-        r = solve(phi, inst, tie_tol=0.0)
+        r = solve(phi, inst)
         assert r.optimal_value == np.inf
         assert r.optimal_set.tolist() == [[1e308]]
         assert r.chosen.tolist() == [1e308]
-        assert solve_one_packed(phi, inst, 0.0).tolist() == [1e308]
-        for call in (solve, solve_one_packed):
-            with pytest.raises(ValueError, match="empty candidate set"):
-                call(phi, inst, 1e-9)
+        assert solve_one_packed(phi, inst).tolist() == [1e308]
 
     def test_directly_built_instance_is_canonical(self):
         rows = [[1, 0], [0, 1], [1, 0], [-1, 1], [0, 1]]
@@ -264,7 +261,7 @@ class TestSolvePacked:
         store = pack([inst, inst])
         for phi in ([1.0, 1.0], [0.0, 0.0], [-1.0, 0.5]):
             want = solve(phi, inst, tie_tol=0.0).chosen
-            for got in solve_packed(phi, store, tie_tol=0.0):
+            for got in solve_packed(phi, store):
                 assert got.tobytes() == want.tobytes()
 
     def test_single_instance_store_shares_the_array(self):
@@ -282,12 +279,6 @@ class TestSolvePacked:
         with pytest.raises(ValueError, match="no instances"):
             expert_trajectories(np.array([1.0]), {})
 
-    @pytest.mark.parametrize("tie_tol", [-1.0, np.nan])
-    def test_bad_tie_tol_rejected(self, tie_tol):
-        store = pack([make_instance("a", [[0.0], [1.0]])])
-        with pytest.raises(ValueError, match="tie tolerance"):
-            solve_packed(np.array([1.0]), store, tie_tol)
-
     def test_segment_without_candidates_rejected(self):
         # A NaN score ties with nothing; its segment must not borrow the
         # next segment's row.
@@ -297,46 +288,43 @@ class TestSolvePacked:
             sizes=np.array([1, 2]),
         )
         with pytest.raises(ValueError, match="empty candidate set"):
-            solve_packed(np.array([1.0]), store, tie_tol=0.0)
+            solve_packed(np.array([1.0]), store)
 
     # Under weights (2, 2), a row of +-1e308 scores inf, -inf or
-    # inf - inf = NaN.  A segment holding a NaN score ties nothing, and
-    # one whose top score is inf ties nothing at tie_tol > 0.  The oracle
-    # reads the kernel's own product: a BLAS may fuse a row's multiply
-    # and add, so a row's score can differ between stores.
+    # inf - inf = NaN.  A segment holding a NaN score ties nothing.  The
+    # oracle reads the kernel's own product: a BLAS may fuse a row's
+    # multiply and add, so a row's score can differ between stores.
     @given(st.lists(st.lists(st.lists(OVERFLOWING, min_size=2, max_size=2),
-                             min_size=1, max_size=4), min_size=1, max_size=4),
-           st.sampled_from([0.0, 1e-9]))
-    @example([[[1e308, -1e308], [0.0, 1.0]], [[1.0, 0.0]]], 0.0)
-    @example([[[1.0, 0.0]], [[1e308, 1e308], [1.0, 0.0]]], 1e-9)
-    @example([[[1e308, 1e308], [1.0, 0.0]]], 0.0)
-    @example([[[-1e308, -1e308]], [[-1e308, -1e308], [-1e308, -5e307]]], 1e-9)
+                             min_size=1, max_size=4), min_size=1, max_size=4))
+    @example([[[1e308, -1e308], [0.0, 1.0]], [[1.0, 0.0]]])
+    @example([[[1.0, 0.0]], [[1e308, 1e308], [1.0, 0.0]]])
+    @example([[[1e308, 1e308], [1.0, 0.0]]])
+    @example([[[-1e308, -1e308]], [[-1e308, -1e308], [-1e308, -5e307]]])
     @settings(max_examples=200)
-    def test_overflowing_scores_rejected_exactly_where_no_row_ties(self, sets,
-                                                                  tie_tol):
+    def test_overflowing_scores_rejected_exactly_where_no_row_ties(self, sets):
         insts = [make_instance(f"i{n}", rows) for n, rows in enumerate(sets)]
         phi = np.array([2.0, 2.0])
         with np.errstate(over="ignore", invalid="ignore"):
             for inst in insts:
-                choice = segment_choices(phi, pack([inst]), tie_tol)[0]
+                choice = segment_choices(phi, pack([inst]))[0]
                 if choice is None:
                     with pytest.raises(ValueError, match="empty candidate set"):
-                        solve(phi, inst, tie_tol)
+                        solve(phi, inst)
                 else:
-                    assert solve(phi, inst, tie_tol).chosen.tobytes() == choice
+                    assert solve(phi, inst).chosen.tobytes() == choice
             store = pack(insts)
-            want = segment_choices(phi, store, tie_tol)
+            want = segment_choices(phi, store)
             if None in want:
                 with pytest.raises(ValueError, match="empty candidate set"):
-                    solve_packed(phi, store, tie_tol)
+                    solve_packed(phi, store)
             else:
-                got = solve_packed(phi, store, tie_tol)
+                got = solve_packed(phi, store)
                 assert [row.tobytes() for row in got] == want
 
 
-def segment_kernel(phi, store, tie_tol):
+def segment_kernel(phi, store):
     """``solve_packed``'s rows as the segment kernel computes them."""
-    return store.actions[solvers._argmax_segments(phi, store, tie_tol)[2]]
+    return store.actions[solvers._argmax_segments(phi, store)[2]]
 
 
 def outcome(call, *args):
@@ -361,7 +349,7 @@ def edge_problems(draw):
     sets = draw(st.lists(st.lists(row, min_size=1, max_size=6),
                          min_size=1, max_size=3))
     phi = np.array(draw(st.lists(EDGE_WEIGHTS, min_size=d, max_size=d)))
-    return sets, phi, draw(st.sampled_from([0.0, 1e-9, 0.3]))
+    return sets, phi
 
 
 class FixedScores(np.ndarray):
@@ -389,47 +377,45 @@ class TestOneSegmentPath:
     @given(packed_problems(st.integers(1, 4), DYADIC | NON_DYADIC))
     @settings(max_examples=200)
     def test_matches_solve_and_the_segment_kernel(self, problem):
-        insts, phi, tie_tol = problem
+        insts, phi = problem
         for store in [pack([inst]) for inst in insts] + [pack(insts)]:
-            got = solve_packed(phi, store, tie_tol)
-            assert got.tobytes() == segment_kernel(phi, store, tie_tol).tobytes()
+            got = solve_packed(phi, store)
+            assert got.tobytes() == segment_kernel(phi, store).tobytes()
         for inst in insts:
-            assert (solve_packed(phi, pack([inst]), tie_tol)[0].tobytes()
-                    == solve(phi, inst, tie_tol).chosen.tobytes())
+            assert (solve_packed(phi, pack([inst]))[0].tobytes()
+                    == solve(phi, inst).chosen.tobytes())
 
     @given(edge_problems())
-    @example(([[[1e308, -1e308], [0.0, 0.0]]], np.array([2.0, 2.0]), 0.0))
-    @example(([[[1.0, 1e308]], [[0.0, 1e308], [1e308, 1.0]]], np.array([2.0, 2.0]),
-              1e-9))
-    @example(([[[-1e308], [-1.0]]], np.array([2.0]), 0.3))
+    @example(([[[1e308, -1e308], [0.0, 0.0]]], np.array([2.0, 2.0])))
+    @example(([[[1.0, 1e308]], [[0.0, 1e308], [1e308, 1.0]]], np.array([2.0, 2.0])))
+    @example(([[[-1e308], [-1.0]]], np.array([2.0])))
     @settings(max_examples=300)
     def test_edge_scores_match_the_segment_kernel(self, problem):
-        sets, phi, tie_tol = problem
+        sets, phi = problem
         insts = [make_instance(f"i{n}", rows) for n, rows in enumerate(sets)]
         with np.errstate(over="ignore", invalid="ignore"):
             for store in [pack([inst]) for inst in insts] + [pack(insts)]:
-                want = outcome(segment_kernel, phi, store, tie_tol)
-                assert outcome(solve_packed, phi, store, tie_tol) == want
+                want = outcome(segment_kernel, phi, store)
+                assert outcome(solve_packed, phi, store) == want
             for inst in insts:
-                assert (outcome(lambda: solve_packed(phi, pack([inst]), tie_tol)[0])
-                        == outcome(lambda: solve(phi, inst, tie_tol).chosen))
+                assert (outcome(lambda: solve_packed(phi, pack([inst]))[0])
+                        == outcome(lambda: solve(phi, inst).chosen))
 
     # Scores set directly: ties of 0.0 and -0.0 (a BLAS product may never
     # give -0.0), +-inf and NaN.
-    @given(st.lists(SCORES, min_size=1, max_size=8),
-           st.sampled_from([0.0, 1e-9, 0.3]))
-    @example([-0.0, 0.0], 0.0)
-    @example([0.8, 1.0], 0.3)
-    @example([0.0, -0.0, -1.0], 0.0)
-    @example([1.0, np.inf, np.inf], 0.0)
-    @example([-np.inf, -np.inf], 0.3)
-    @example([1.0, np.nan, 2.0], 0.0)
+    @given(st.lists(SCORES, min_size=1, max_size=8))
+    @example([-0.0, 0.0])
+    @example([0.8, 1.0])
+    @example([0.0, -0.0, -1.0])
+    @example([1.0, np.inf, np.inf])
+    @example([-np.inf, -np.inf])
+    @example([1.0, np.nan, 2.0])
     @settings(max_examples=300)
-    def test_set_scores_match_the_segment_kernel(self, scores, tie_tol):
+    def test_set_scores_match_the_segment_kernel(self, scores):
         store = scored_store(scores)
         with np.errstate(invalid="ignore"):
-            want = outcome(segment_kernel, np.array([1.0]), store, tie_tol)
-            got = outcome(solve_packed, np.array([1.0]), store, tie_tol)
+            want = outcome(segment_kernel, np.array([1.0]), store)
+            got = outcome(solve_packed, np.array([1.0]), store)
         assert got == want
         if np.isnan(scores).any():
             assert got == "empty candidate set"
@@ -438,9 +424,8 @@ class TestOneSegmentPath:
         store = pack([make_instance("a", [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])])
         with mock.patch.object(solvers, "_argmax_segments",
                                side_effect=AssertionError("segment kernel called")):
-            for tie_tol in (0.0, 0.3):
-                got = solve_packed(np.array([1.0, 1.0]), store, tie_tol)
-                assert got.tolist() == [[1.0, 1.0]]
+            got = solve_packed(np.array([1.0, 1.0]), store)
+        assert got.tolist() == [[1.0, 1.0]]
 
 
 class TestKnapsack:
