@@ -15,6 +15,7 @@ from moirl.domain import (
     make_instance,
     pack,
 )
+from moirl.learner import RunConfig
 from moirl.solvers import (
     KnapsackSpec,
     knapsack_instance,
@@ -241,6 +242,24 @@ class TestSolvePacked:
             assert repr(r.optimal_value) == repr(best)
             assert r.optimal_set.tobytes() == tied.tobytes()
             assert r.chosen.tobytes() == np.array(min(tied.tolist())).tobytes()
+
+    @pytest.mark.parametrize("tie_tol", [-1.0, np.nan])
+    def test_bad_tie_tol_rejected(self, tie_tol):
+        # solve_packed takes no tolerance at all; a caller that keeps one
+        # rejects a nonzero one before any packed solve.
+        store = pack([make_instance("a", [[0.0], [1.0]])])
+        with pytest.raises(TypeError):
+            solve_packed(np.array([1.0]), store, tie_tol)
+        with pytest.raises(ValueError, match="tie_tol must be 0"):
+            RunConfig(tie_tol=tie_tol)
+
+    def test_nan_tie_tol_rejected_as_by_solve_packed(self):
+        # solve rejects a NaN tolerance; solve_packed rejects any.
+        inst = make_instance("a", [[0.0], [1.0]])
+        with pytest.raises(ValueError, match="tie_tol must be 0"):
+            solve(np.array([1.0]), inst, np.nan)
+        with pytest.raises(TypeError):
+            solve_packed(np.array([1.0]), pack([inst]), np.nan)
 
     @np.errstate(over="ignore", invalid="ignore")
     def test_overflowing_score(self):
