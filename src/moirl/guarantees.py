@@ -25,7 +25,7 @@ from .domain import (
 )
 from .learner import RunLog
 from .solvers import check_tie_tol, solve_packed
-from .wasserstein import w1_exact
+from .wasserstein import _net_mass
 
 __all__ = [
     "GuaranteeViolation",
@@ -122,7 +122,11 @@ class EquivalenceReport:
 
     subgrad_zero: bool  # sum over decisions of learner - expert is exactly 0
     actions_equal: bool  # learner's action equals the expert's on every decision
-    w1_zero: bool  # exact W1 between the learner's and the expert's actions is 0
+    # W1 between the learner's and the expert's actions is 0: no net mass is
+    # left once shared points cancel, an exact multiset test.  The float
+    # ``w1_exact`` can underflow to 0 for distinct measures whose points
+    # differ by less than about 1e-162 in every coordinate; this cannot.
+    w1_zero: bool
 
     @property
     def unanimous(self) -> bool:
@@ -146,7 +150,7 @@ def _equivalence(learner: np.ndarray, expert: np.ndarray) -> EquivalenceReport:
     return EquivalenceReport(
         subgrad_zero=bool(np.all((learner - expert).sum(axis=0) == 0.0)),
         actions_equal=bool(np.all(learner == expert)),
-        w1_zero=w1_exact(learner, expert) == 0.0,
+        w1_zero=not _net_mass(learner, expert)[1].any(),
     )
 
 

@@ -322,7 +322,8 @@ def load_instances(path) -> dict[str, Instance]:
 def save_instances(instances: Mapping[str, Instance], path) -> None:
     """Write instances in ``json.dump(..., indent=2)``'s layout, plus a newline.
 
-    Only each instance's ``id`` and ``state`` go through ``json``.  The
+    Only each instance's ``id`` and ``state`` go through ``json``: all ids
+    in one call, and all states in one more but for containers.  The
     text is built in whole-store array passes: one cell per number, its
     ``repr`` (as ``json`` writes a float, once per distinct bit pattern
     from one ``np.unique``) and the separator after it, with each
@@ -344,6 +345,7 @@ def save_instances(instances: Mapping[str, Instance], path) -> None:
 
 
 _SLICE = 1 << 13  # numbers joined, encoded, hashed and written at a time
+_NESTED = (dict, list, tuple)  # the JSON values json.dumps writes over lines
 
 
 def _state_text(state) -> str:
@@ -351,9 +353,27 @@ def _state_text(state) -> str:
     # json escapes newlines inside strings, so every "\n" here starts a
     # line, and indenting it nests the value.  Only a container needs the
     # indent, which makes json use its pure-Python encoder.
-    if isinstance(state, (dict, list, tuple)):
+    if isinstance(state, _NESTED):
         return json.dumps(state, indent=2).replace("\n", "\n    ")
     return json.dumps(state)
+
+
+def _texts(values, text=json.dumps) -> list[str]:
+    """``[text(v) for v in values]`` for nonempty ``values``, where
+    ``text(v)`` is ``json.dumps(v)`` unless ``v`` is a dict, list or tuple.
+    Only those get their own call: the others are encoded in one
+    ``json.dumps`` split where its item separator, a newline, falls (json
+    escapes every newline in a string)."""
+    nested = []
+    if any(issubclass(t, _NESTED) for t in set(map(type, values))):
+        nested = [i for i, v in enumerate(values) if isinstance(v, _NESTED)]
+    flat = list(values)
+    for i in nested:
+        flat[i] = None
+    out = json.dumps(flat, separators=("\n", ":"))[1:-1].split("\n")
+    for i in nested:
+        out[i] = text(values[i])
+    return out
 
 
 def _write_instances(insts: list[Instance], write) -> None:
@@ -377,8 +397,10 @@ def _write_instances(insts: list[Instance], write) -> None:
     head = (',\n  {\n    "id": %s,\n    "state": %s,\n'
             '    "actions": [\n      [\n        %s')
     firsts = ends - rows * dims
-    cells[firsts] = [head % (json.dumps(inst.id), _state_text(inst.state), cell)
-                     for inst, cell in zip(insts, cells[firsts].tolist())]
+    ids = _texts([inst.id for inst in insts])
+    states = _texts([inst.state for inst in insts], _state_text)
+    cells[firsts] = [head % parts
+                     for parts in zip(ids, states, cells[firsts].tolist())]
     cells[0] = "[" + cells[0][1:]
     cells[-1] += "\n]\n"
     for lo in range(0, cells.size, _SLICE):
@@ -448,16 +470,17 @@ def load_trajectories(path) -> TrajectorySet:
 
 def save_trajectories(ts: TrajectorySet, path) -> None:
     """Write trajectories in ``json.dump(..., indent=2)``'s layout, plus a
-    newline, with one ``%`` format: only the ids go through ``json``, and
-    each action number is written as its ``repr``.  A ``NaN`` or infinite
-    number raises ValueError, and no file is written, as in ``save_json``."""
+    newline, with one ``%`` format: only the ids go through ``json``, in
+    one call, and each action number is written as its ``repr``.  A ``NaN``
+    or infinite number raises ValueError, and no file is written, as in
+    ``save_json``."""
     if not np.isfinite(ts.actions).all():
         raise ValueError("Out of range float values are not JSON compliant")
     d = ts.actions.shape[1]
     entry = ('  {\n    "instance_id": %s,\n    "action": [\n'
              + ",\n".join(["      %r"] * d) + "\n    ]\n  }")
-    values = [v for iid, row in zip(ts.instance_ids, ts.actions.tolist())
-              for v in (json.dumps(iid), *row)]
+    values = [v for iid, row in zip(_texts(ts.instance_ids), ts.actions.tolist())
+              for v in (iid, *row)]
     text = "[\n" + ",\n".join([entry] * len(ts)) % tuple(values) + "\n]\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

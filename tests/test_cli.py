@@ -459,6 +459,89 @@ class TestWasserstein:
         assert "/1/action" in err[0]
 
 
+    def test_large_finite_actions(self, tmp_path, capsys):
+        # Their difference, 2e200, squares past the float range.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(a, [{"instance_id": "x", "action": [1e200, 0.0]}])
+        write_json(b, [{"instance_id": "x", "action": [-1e200, 0.0]}])
+        assert main(["wasserstein", str(a), str(b)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "w1 2e+200", "linear_dual_lower_bound 2e+200"]
+
+    def test_w1_beyond_the_float_range_exits_2_with_one_line(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(a, [{"instance_id": "x", "action": [1e308, 0.0]}])
+        write_json(b, [{"instance_id": "x", "action": [-1e308, 0.0]}])
+        assert main(["wasserstein", str(a), str(b)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error:VALIDATION: W1 is beyond the float range"]
+
+
+def run_in_subprocess(script: str, *args) -> subprocess.CompletedProcess:
+    """``python -c script *args`` with this checkout's ``src`` on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+# Runs each JSON-encoded argv of sys.argv[1:] through the CLI in one process,
+# then prints the exit codes and the scipy modules loaded, as JSON.
+CLI_SCRIPT = """
+import json, sys
+import moirl, moirl.cli
+codes = [moirl.cli.main(json.loads(argv)) for argv in sys.argv[1:]]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+class TestScipyImports:
+    """scipy is loaded only to solve an assignment, which a W1 needs only
+    when the two measures differ."""
+
+    def test_no_command_loads_scipy_unless_a_w1_has_mass_to_move(
+            self, fixture_files):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        short = tmp_path / "short.json"
+        write_json(short, {"schedule": {"kind": "inverse_sqrt", "alpha0": 0.5},
+                           "max_iters": 1, "phi1": [-1.0, 0.0]})
+        data, run, stop = tmp_path / "data", tmp_path / "run", tmp_path / "stop"
+        expert = data / "expert_trajectories.json"
+        argvs = [
+            ["generate", spec, phi0, "--out", data, "--seed", "42"],
+            ["train", data, feasible, config, "--out", run],
+            ["train", data, feasible, short, "--out", stop],
+            ["verify", data, run, "--eps", "1e-2"],
+            ["verify", data, stop, "--eps", "1e-12"],
+            ["wasserstein", expert, expert],
+        ]
+        proc = run_in_subprocess(CLI_SCRIPT, *(json.dumps(list(map(str, a))) for a in argvs))
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0, 3, 0]
+        # The one-step run does not imitate the expert, so the W1 leg has
+        # mass to move.
+        report = json.loads((stop / "verify_report.json").read_text())
+        assert report["equivalence"] == {
+            "subgrad_zero": False, "actions_equal": False, "w1_zero": False}
+        assert scipy_modules == []
+
+    def test_w1_between_differing_files_loads_scipy(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(a, [{"instance_id": "x", "action": p}
+                       for p in [[0, 0], [1, 2], [2, 2], [0.1, 0.3]]])
+        write_json(b, [{"instance_id": "x", "action": p}
+                       for p in [[1, 1], [1, 2], [0, 3], [0.7, -0.2]]])
+        proc = run_in_subprocess(CLI_SCRIPT, json.dumps(["wasserstein", str(a), str(b)]))
+        assert proc.returncode == 0, proc.stderr
+        *printed, last = proc.stdout.splitlines()
+        assert printed == ["w1 1.026063597881745",
+                           "linear_dual_lower_bound 0.3881043674065006"]
+        codes, scipy_modules = json.loads(last)
+        assert codes == [0] and "scipy.optimize" in scipy_modules
+
+
 class TestVerify:
     def test_pipeline_verifies(self, fixture_files):
         tmp_path, spec, phi0, feasible, config = fixture_files

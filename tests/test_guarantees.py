@@ -20,6 +20,7 @@ from moirl.guarantees import (
 from moirl.learner import RunConfig, RunLog, StepSchedule, objective_value, train
 from moirl.solvers import solve_packed
 from moirl.synth import expert_trajectories, random_instances
+from moirl.wasserstein import w1_exact
 
 
 class TestRewardGapReport:
@@ -139,6 +140,17 @@ class TestEquivalenceCheck:
         assert (report.subgrad_zero, report.actions_equal, report.w1_zero) == (
             False, False, False)
 
+    def test_all_false_when_actions_differ_by_a_subnormal(self):
+        # The distance 5e-324 squares to 0, so the float W1 of these
+        # decisions underflows to 0; the multiset test behind w1_zero does not.
+        instances = {"a": make_instance("a", [[0.0, 1.0], [5e-324, 1.0]])}
+        data = TrajectorySet(["a"], [[5e-324, 1.0]])
+        assert w1_exact([[0.0, 1.0]], data.actions) == 0.0
+        report = equivalence_check([-1.0, 0.0], None, data, instances)
+        assert (report.subgrad_zero, report.actions_equal, report.w1_zero) == (
+            False, False, False)
+        assert report.unanimous
+
     def test_no_counterexample_in_randomized_search(self):
         # Mean cancellation of action differences cannot occur when the
         # expert comes from the exact tie-breaking solver: search small
@@ -161,8 +173,6 @@ class TestEquivalenceCheck:
         # action lists always give zero distance.
         rng = np.random.default_rng(13)
         pts = rng.integers(-5, 6, size=(4, 2)).astype(float)
-        from moirl.wasserstein import w1_exact
-
         assert w1_exact(pts, pts.copy()) == 0.0
 
 

@@ -3,11 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from moirl import wasserstein
+from moirl.guarantees import _equivalence
 from moirl.wasserstein import linear_dual_lower_bound, w1_exact
 
 
@@ -94,7 +95,7 @@ class TestW1Exact:
         def no_assignment(cost):
             raise AssertionError(f"assignment solved on {cost.shape}")
 
-        monkeypatch.setattr(wasserstein, "linear_sum_assignment", no_assignment)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", no_assignment)
         rng = np.random.default_rng(3)
         pts = rng.integers(-5, 6, size=(3000, 3)).astype(float)
         assert w1_exact(pts, pts[rng.permutation(3000)]) == 0.0
@@ -106,7 +107,7 @@ class TestW1Exact:
             shapes.append(cost.shape)
             return linear_sum_assignment(cost)
 
-        monkeypatch.setattr(wasserstein, "linear_sum_assignment", recording)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording)
         mu = [[0.0], [1.0], [2.0], [2.0], [2.0]]
         nu = [[2.0], [-0.0], [5.0], [2.0], [7.0]]  # leaves 1, 2 against 5, 7
         assert w1_exact(mu, nu) == pytest.approx((4.0 + 5.0) / 5)
@@ -121,12 +122,54 @@ class TestW1Exact:
             assert w1_exact(a, b) == pytest.approx(w1_exact(b, a), abs=1e-9)
             assert w1_exact(a, c) <= w1_exact(a, b) + w1_exact(b, c) + 1e-9
 
+    @given(measure_pairs())
+    @settings(max_examples=200)
+    def test_w1_zero_is_the_multiset_test(self, pair):
+        mu, nu = pair
+        assert _equivalence(mu, nu).w1_zero == same_multiset(mu, nu)
+
     def test_zero_iff_equal_multisets(self):
         a = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0]])
         b = np.array([[2.0, 2.0], [0.0, 1.0], [0.0, 1.0]])  # same multiset
         assert w1_exact(a, b) == 0.0
         c = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
         assert w1_exact(a, c) > 0.0
+
+
+class TestLargeFiniteInputs:
+    """Points of magnitude 2**510 and up are scaled by a power of two, so
+    squared distances do not overflow; the values keep their bits."""
+
+    def test_w1_of_opposite_points(self):
+        assert w1_exact([[1e200, 0.0]], [[-1e200, 0.0]]) == 2e200
+
+    def test_dual_bound_of_opposite_points(self):
+        assert linear_dual_lower_bound([[1e200, 0.0]], [[-1e200, 0.0]]) == 2e200
+
+    def test_finite_w1_of_a_residual_beyond_the_float_range(self):
+        # The unshared pair is 2e308 apart; the mean over 2 decisions is not.
+        mu, nu = [[1e308], [-1e308]], [[1e308], [1e308]]
+        assert w1_exact(mu, nu) == 1e308
+        assert linear_dual_lower_bound(mu, nu) == 1e308
+
+    @pytest.mark.parametrize("fn", [w1_exact, linear_dual_lower_bound])
+    def test_value_beyond_the_float_range_rejected(self, fn):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            fn([[1e308, 0.0]], [[-1e308, 0.0]])
+
+    @pytest.mark.parametrize("k", [-40, 40, 500, 1000])
+    def test_scaling_by_a_power_of_two_keeps_the_bits(self, k):
+        rng = np.random.default_rng(4)
+        mu = rng.integers(-9, 10, size=(60, 3)) * 0.1
+        nu = rng.integers(-9, 10, size=(60, 3)) * 0.1
+        for fn in (w1_exact, linear_dual_lower_bound):
+            assert fn(np.ldexp(mu, k), np.ldexp(nu, k)) == np.ldexp(fn(mu, nu), k)
+
+    def test_many_coordinates_do_not_overflow(self):
+        # 64 squared differences of 2**509 each sum past the float range.
+        mu, nu = np.full((1, 64), 2.0**508), np.full((1, 64), -(2.0**508))
+        assert w1_exact(mu, nu) == 2.0**512
+        assert linear_dual_lower_bound(mu, nu) == 2.0**512
 
 
 class TestLinearDualLowerBound:
