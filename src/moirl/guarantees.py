@@ -69,8 +69,14 @@ class GapReport:
     """Per-decision reward gaps of candidate weights vs the expert's actions."""
 
     gaps: np.ndarray  # (N,) each >= 0 up to dust
-    objective: float  # mean of gaps
-    n: int
+
+    @property
+    def objective(self) -> float:
+        return float(self.gaps.mean())
+
+    @property
+    def n(self) -> int:
+        return len(self.gaps)
 
     def within_budget(self, eps: float) -> bool:
         """True iff every gap is below eps * N (the reward-imitation bound)."""
@@ -112,7 +118,7 @@ def _gaps(w: np.ndarray, chosen: np.ndarray, expert: np.ndarray) -> GapReport:
             f"negative reward gap {gaps[worst]} at decision {worst}; "
             "expert action beats the solver under its own weights"
         )
-    return GapReport(gaps=gaps, objective=float(gaps.mean()), n=len(expert))
+    return GapReport(gaps)
 
 
 @dataclass(frozen=True)
@@ -123,9 +129,8 @@ class EquivalenceReport:
     subgrad_zero: bool  # sum over decisions of learner - expert is exactly 0
     actions_equal: bool  # learner's action equals the expert's on every decision
     # W1 between the learner's and the expert's actions is 0: no net mass is
-    # left once shared points cancel, an exact multiset test.  The float
-    # ``w1_exact`` can underflow to 0 for distinct measures whose points
-    # differ by less than about 1e-162 in every coordinate; this cannot.
+    # left once shared points cancel, an exact multiset test that, unlike
+    # ``w1_exact``, measures no distance.
     w1_zero: bool
 
     @property

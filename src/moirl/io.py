@@ -3,6 +3,7 @@
 All JSON and CSV files are UTF-8 with LF newlines; floats serialize in
 shortest round-trip decimal form (Python's float repr), so save -> load
 is bit-identical and repeated saves of the same data are byte-identical.
+All actions in an instance or trajectory file have one width.
 ``instances.json`` may have a binary copy next to it, ``instances.npz``,
 which ``load_instances`` reads instead while it matches the file.
 """
@@ -29,7 +30,6 @@ from .domain import (
     Instance,
     Simplex,
     TrajectorySet,
-    make_instance,
     make_instances,
 )
 from .learner import RunConfig, RunLog, StepSchedule
@@ -130,14 +130,16 @@ def _integer(x, ptr: str) -> int:
 
 def _rows(blocks: list) -> np.ndarray | None:
     """The rows of ``blocks``, a list of lists of rows, end to end as a
-    (rows, d) float array if every row is a list of length d >= 1 whose
-    elements are all finite ints or floats.
+    (rows, d) float array if every block is a nonempty list and every row
+    a list of length d >= 1 whose elements are all finite ints or floats.
 
     Returns None otherwise, also for an int too large for a float; the
     caller's element-wise checks then name the culprit.  json reads a
     literal such as ``1e400`` as inf.  The rows are chained afresh for
     each pass, not gathered into one list.
     """
+    if set(map(type, blocks)) != {list} or not all(blocks):
+        return None
     rows = partial(chain.from_iterable, blocks)
     if set(map(type, rows())) != {list}:
         return None
@@ -197,22 +199,28 @@ def _entries(data, key: str, value: str):
     return (keys, values) if set(map(type, keys)) == {str} else None
 
 
-def _instance_table(data):
-    """The ids, packed actions, segment sizes and states of a list of
-    instance objects, or None unless the ids are unique strings and the
-    actions nonempty lists of rows of one width holding finite numbers."""
-    entries = _entries(data, "id", "actions")
-    if entries is None:
-        return None
-    ids, matrices = entries
-    unique = len(set(ids)) == len(ids)
-    if not (unique and set(map(type, matrices)) == {list} and all(matrices)):
-        return None
-    actions = _rows(matrices)
-    if actions is None:
-        return None
-    states = [entry.get("state") for entry in data]
-    return ids, actions, list(map(len, matrices)), states
+def _walk(data: list, key: str, field: str, instances: bool) -> None:
+    """Raise the first fault, with its JSON pointer, of ``data``: a nonempty
+    list of entries that the whole-file pass rejected.  Builds nothing."""
+    seen, width = set(), None
+    for i, entry in enumerate(data):
+        ptr = f"/{i}"
+        iid = _field(entry, key, ptr)
+        if not isinstance(iid, str):
+            raise SchemaError(f"{ptr}/{key}", "expected a string")
+        if instances and iid in seen:
+            raise SchemaError(f"{ptr}/{key}", f"duplicate instance id {iid!r}")
+        seen.add(iid)
+        value = _field(entry, field, ptr)
+        ptr += f"/{field}"
+        if instances:
+            d = _matrix(value, ptr).shape[1]
+            ptr += "/0"
+        else:
+            d = len(_vector(value, ptr))
+        width = width or d
+        if d != width:
+            raise SchemaError(ptr, f"length {d}, expected {width}")
 
 
 _HASH_CHUNK = 1 << 20  # bytes read into the hash at a time
@@ -280,18 +288,17 @@ def _load_sidecar(path) -> dict[str, Instance] | None:
 
 
 def load_instances(path) -> dict[str, Instance]:
-    """Read ``instances.json``.
+    """Read ``instances.json``: an array of objects with unique string
+    ids and nonempty ``actions``, every action of one length.
 
     If ``save_instances`` left a binary copy next to it (``instances.npz``)
     that holds the SHA-256 of the file's current bytes, the instances are
     built from that copy's arrays through the same ``make_instances``
     checks, and the JSON text is not decoded.
 
-    Otherwise, a file of objects with unique string ids and actions that
-    are nonempty lists of rows of one width is converted and
-    canonicalised in whole-file array passes.  Any other file goes
-    through the per-entry checks, which load each valid entry alone or
-    name the first fault.
+    Otherwise the file is converted and canonicalised in whole-file array
+    passes.  A file that fails the whole-file pass is walked only to name
+    its first fault.
     """
     cached = _load_sidecar(path)
     if cached is not None:
@@ -299,24 +306,19 @@ def load_instances(path) -> dict[str, Instance]:
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of instance objects")
-    table = _instance_table(data)
-    if table is not None:
-        # Free the parsed file before the instances are built: objects that
-        # outlive this call, made among its many small objects, keep that
-        # memory from being returned, and repeated loads grew peak RSS.
-        del data
-        return dict(zip(table[0], make_instances(*table)))
-    out: dict[str, Instance] = {}
-    for i, entry in enumerate(data):
-        ptr = f"/{i}"
-        iid = _field(entry, "id", ptr)
-        if not isinstance(iid, str):
-            raise SchemaError(f"{ptr}/id", "expected a string")
-        if iid in out:
-            raise SchemaError(f"{ptr}/id", f"duplicate instance id {iid!r}")
-        actions = _matrix(_field(entry, "actions", ptr), f"{ptr}/actions")
-        out[iid] = make_instance(iid, actions, state=entry.get("state"))
-    return out
+    if not data:
+        return {}
+    entries = _entries(data, "id", "actions")
+    actions = None if entries is None else _rows(entries[1])
+    if actions is None or len(set(entries[0])) < len(data):
+        _walk(data, "id", "actions", instances=True)
+    ids, sizes = entries[0], list(map(len, entries[1]))
+    states = [entry.get("state") for entry in data]
+    # Free the parsed file before the instances are built: objects that
+    # outlive this call, made among its many small objects, keep that
+    # memory from being returned, and repeated loads grew peak RSS.
+    del data, entries
+    return dict(zip(ids, make_instances(ids, actions, sizes, states)))
 
 
 def save_instances(instances: Mapping[str, Instance], path) -> None:
@@ -332,8 +334,12 @@ def save_instances(instances: Mapping[str, Instance], path) -> None:
     of the whole file, which would raise the peak memory.  Then
     ``_save_sidecar`` puts a binary copy of the instances, with that
     SHA-256, next to the file for ``load_instances``, or removes an old one.
+    Instances of mixed action widths raise ValueError before any write.
     """
     insts, sha = list(instances.values()), hashlib.sha256()
+    dims = sorted({inst.dim for inst in insts})
+    if len(dims) > 1:
+        raise ValueError(f"instances have mixed dimensions {dims}")
     with open(path, "wb") as fh:
         def write(text: str) -> None:
             data = text.encode("utf-8")
@@ -388,15 +394,15 @@ def _write_instances(insts: list[Instance], write) -> None:
     # One cell per number: its text followed by what comes next, within a
     # row, after a row's last number, or after an instance's last number.
     cells = (texts + ",\n        ")[index]
-    rows, dims = np.array([inst.actions.shape for inst in insts]).T
-    row_ends = np.cumsum(np.repeat(dims, rows)) - 1
-    cells[row_ends] = (texts + "\n      ],\n      [\n        ")[index[row_ends]]
-    ends = np.cumsum(rows * dims)
+    d = insts[0].dim
+    cells[d - 1 :: d] = (texts + "\n      ],\n      [\n        ")[index[d - 1 :: d]]
+    counts = np.array([len(inst.actions) for inst in insts]) * d
+    ends = np.cumsum(counts)
     cells[ends - 1] = texts[index[ends - 1]] + "\n      ]\n    ]\n  }"
     del index
     head = (',\n  {\n    "id": %s,\n    "state": %s,\n'
             '    "actions": [\n      [\n        %s')
-    firsts = ends - rows * dims
+    firsts = ends - counts
     ids = _texts([inst.id for inst in insts])
     states = _texts([inst.state for inst in insts], _state_text)
     cells[firsts] = [head % parts
@@ -409,8 +415,7 @@ def _write_instances(insts: list[Instance], write) -> None:
 
 def _save_sidecar(insts: list[Instance], path, sha256: bytes) -> None:
     """Write ``path``'s binary copy (``instances.npz``) when ``insts`` is
-    nonempty, of one action width and with unique string ids, or else
-    remove any old copy.
+    nonempty and has unique string ids, or else remove any old copy.
 
     The copy holds ``sha256``, the SHA-256 of ``path``'s bytes, the
     packed (rows, d) actions, the rows per instance, and the ids and
@@ -421,9 +426,7 @@ def _save_sidecar(insts: list[Instance], path, sha256: bytes) -> None:
     if sidecar == Path(path):
         return
     ids = [inst.id for inst in insts]
-    widths = {inst.dim for inst in insts}
-    if not (len(widths) == 1 and set(map(type, ids)) == {str}
-            and len(set(ids)) == len(ids)):
+    if set(map(type, ids)) != {str} or len(set(ids)) < len(ids):
         sidecar.unlink(missing_ok=True)
         return
     header = json.dumps([ids, [inst.state for inst in insts]]).encode("utf-8")
@@ -441,31 +444,20 @@ def _save_sidecar(insts: list[Instance], path, sha256: bytes) -> None:
 
 def load_trajectories(path) -> TrajectorySet:
     """Read ``expert_trajectories.json``: one ``instance_id`` and one
-    ``action`` per entry, every action of one length."""
+    ``action`` per entry, every action of one length.  A file that fails
+    the whole-file pass is walked only to name its first fault."""
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError("", "expected an array of trajectory objects")
+    if not data:
+        raise SchemaError("", "trajectory file must contain at least one entry")
     entries = _entries(data, "instance_id", "action")
     actions = None if entries is None else _rows([entries[1]])
-    if actions is not None:
-        ids = entries[0]
-        del data, entries  # as in load_instances
-        return TrajectorySet(ids, actions)
-    ids, rows = [], []
-    for i, entry in enumerate(data):
-        ptr = f"/{i}"
-        iid = _field(entry, "instance_id", ptr)
-        if not isinstance(iid, str):
-            raise SchemaError(f"{ptr}/instance_id", "expected a string")
-        action = _vector(_field(entry, "action", ptr), f"{ptr}/action")
-        if rows and len(action) != len(rows[0]):
-            raise SchemaError(f"{ptr}/action",
-                              f"length {len(action)}, expected {len(rows[0])}")
-        ids.append(iid)
-        rows.append(action)
-    if not rows:
-        raise SchemaError("", "trajectory file must contain at least one entry")
-    return TrajectorySet(ids, np.array(rows))
+    if actions is None:
+        _walk(data, "instance_id", "action", instances=False)
+    ids = entries[0]
+    del data, entries  # as in load_instances
+    return TrajectorySet(ids, actions)
 
 
 def save_trajectories(ts: TrajectorySet, path) -> None:

@@ -227,6 +227,21 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:VALIDATION:")
 
+    def test_mixed_width_instances_exit_2_naming_the_row(self, fixture_files, capsys):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir = tmp_path / "data"
+        assert main(["generate", str(spec), str(phi0), "--out", str(data_dir)]) == 0
+        instances = json.loads((data_dir / "instances.json").read_text())
+        instances[1]["actions"] = [row + [0.0] for row in instances[1]["actions"]]
+        write_json(data_dir / "instances.json", instances)
+        capsys.readouterr()
+        code = main(["train", str(data_dir), str(feasible), str(config),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error:VALIDATION: /1/actions/0: length 3, expected 2"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("case", ["config_tie_tol", "box_lo"])
     def test_nan_input_exits_2(self, fixture_files, capsys, case):
         tmp_path, spec, phi0, feasible, config = fixture_files

@@ -141,11 +141,11 @@ class TestEquivalenceCheck:
             False, False, False)
 
     def test_all_false_when_actions_differ_by_a_subnormal(self):
-        # The distance 5e-324 squares to 0, so the float W1 of these
-        # decisions underflows to 0; the multiset test behind w1_zero does not.
+        # The distance 5e-324 squares to 0, yet the float W1 of these
+        # decisions is 5e-324, and the multiset test behind w1_zero agrees.
         instances = {"a": make_instance("a", [[0.0, 1.0], [5e-324, 1.0]])}
         data = TrajectorySet(["a"], [[5e-324, 1.0]])
-        assert w1_exact([[0.0, 1.0]], data.actions) == 0.0
+        assert w1_exact([[0.0, 1.0]], data.actions) == 5e-324
         report = equivalence_check([-1.0, 0.0], None, data, instances)
         assert (report.subgrad_zero, report.actions_equal, report.w1_zero) == (
             False, False, False)
@@ -233,7 +233,7 @@ class TestFirstBelow:
 
         def gap_report(phi, store, expert):
             seen.append(phi)
-            return GapReport(gaps=np.zeros(1), objective=0.0, n=1)
+            return GapReport(gaps=np.zeros(1))
 
         with mock.patch.object(guarantees, "reward_gap_report_packed", gap_report):
             guarantees._check_budget(log, want, eps, None, None)

@@ -88,9 +88,8 @@ STATES = st.recursive(
 
 @st.composite
 def instance_maps(draw):
-    out = {}
+    out, d = {}, draw(st.integers(1, 3))
     for iid in draw(st.lists(st.text(max_size=6), unique=True, max_size=4)):
-        d = draw(st.integers(1, 3))
         rows = draw(st.lists(st.lists(NUMBERS, min_size=d, max_size=d),
                              min_size=1, max_size=5))
         out[iid] = make_instance(iid, rows, state=draw(STATES))
@@ -99,13 +98,12 @@ def instance_maps(draw):
 
 @st.composite
 def shared_value_maps(draw):
-    """Many instances of mixed dimension over a small pool of numbers, so
+    """Many instances of one dimension over a small pool of numbers, so
     that most values, ``0.0`` and ``-0.0`` among them, recur across the
     file."""
     pool = draw(st.lists(NUMBERS, min_size=1, max_size=6)) + [0.0, -0.0]
-    out = {}
+    out, d = {}, draw(st.integers(1, 4))
     for i in range(draw(st.integers(1, 30))):
-        d = draw(st.integers(1, 4))
         rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=d, max_size=d),
                              min_size=1, max_size=8))
         state = draw(st.sampled_from([None, f"s{i}", 1.5, [i, {"k": None}]]))
@@ -149,13 +147,13 @@ class TestSaveInstancesLayout:
 
 
 SLICE_EDGE_INSTANCES = {
-    "a": make_instance("a", [[1.0, -0.0, 0.1], [2.0, 0.0, -3.5]],
+    "a": make_instance("a", [[1.0, -0.0], [0.1, 2.0], [0.0, -3.5]],
                        state={"k": ["ü", None, {"x": "a\nb"}], "n": -0.0}),
-    "b\n\"": make_instance("b\n\"", [[-0.0]], state=None),
+    "b\n\"": make_instance("b\n\"", [[-0.0, 0.0]], state=None),
     "c": make_instance("c", [[5e-324, 1e22], [7.0, -0.0], [0.0, 0.0]],
                        state=[1, [2, {}], "s"]),
-    "d": make_instance("d", [[1e16]], state="line\n\"q\""),
-    "e": make_instance("e", [[0.5, 0.25, -0.0, 1.0]], state=[]),
+    "d": make_instance("d", [[1e16, 0.5]], state="line\n\"q\""),
+    "e": make_instance("e", [[0.5, 0.25], [-0.0, 1.0]], state=[]),
 }
 
 
@@ -454,6 +452,10 @@ def loop_load_instances(path):
         if iid in out:
             raise mio.SchemaError(f"{ptr}/id", f"duplicate instance id {iid!r}")
         actions = mio._matrix(mio._field(entry, "actions", ptr), f"{ptr}/actions")
+        first = next(iter(out.values()), None)
+        if first is not None and actions.shape[1] != first.dim:
+            raise mio.SchemaError(f"{ptr}/actions/0",
+                                  f"length {actions.shape[1]}, expected {first.dim}")
         out[iid] = make_instance(iid, actions, state=entry.get("state"))
     return out
 
@@ -488,12 +490,15 @@ FILE_NUMBERS = st.one_of(
 
 @st.composite
 def instance_files(draw):
-    d = draw(st.integers(1, 3))
-    rows = st.lists(st.lists(FILE_NUMBERS, min_size=d, max_size=d),
-                    min_size=1, max_size=5)
+    """Instance files of one action width, or now and then of two."""
+    widths = st.sampled_from([draw(st.integers(1, 3))] * 5 + [draw(st.integers(1, 3))])
     states = st.sampled_from([None, "s", [1, None], {"k": 2.5}])
-    entries = [{"id": f"i{i}", "state": draw(states), "actions": draw(rows)}
-               for i in range(draw(st.integers(1, 5)))]
+    entries = []
+    for i in range(draw(st.integers(1, 5))):
+        d = draw(widths)
+        rows = draw(st.lists(st.lists(FILE_NUMBERS, min_size=d, max_size=d),
+                             min_size=1, max_size=5))
+        entries.append({"id": f"i{i}", "state": draw(states), "actions": rows})
     return draw(mutated_entries(entries, "id"))
 
 
@@ -539,7 +544,8 @@ class TestWholeFileLoad:
     @pytest.mark.parametrize("data", [
         [],
         [{"id": "a", "actions": [[1.0]]}, {"id": "b", "actions": []}],
-        [{"id": "a", "actions": [[1.0]]}, {"id": "b", "actions": [[2.0, 3.0]]}],
+        [{"id": "a", "actions": [[1.0]]}, {"id": "b", "actions": [[2.0]]},
+         {"id": "c", "actions": [[2.0, 3.0], [4.0, 5.0]]}],
         [{"id": "a", "actions": [[1.0]]}, {"id": "a", "actions": [[2.0]]}],
         [{"id": "a", "actions": [[2**70, 0.0], [2**53 + 1, -0.0], [1, 2]]}],
         [{"id": "a", "actions": [[0.0, 1.0], [-0.0, 1.0], [-1.0, 2.0]]}],
@@ -550,7 +556,10 @@ class TestWholeFileLoad:
     def test_edge_files_agree_with_per_entry_loop(self, tmp_path, data):
         p = tmp_path / "instances.json"
         p.write_text(json.dumps(data))
-        assert loaded(mio.load_instances, p) == loaded(loop_load_instances, p)
+        got = loaded(mio.load_instances, p)
+        assert got == loaded(loop_load_instances, p)
+        if len(data) == 3:  # mixed widths: the first row of another width
+            assert got == ("SchemaError", "/2/actions/0: length 2, expected 1")
 
     def test_saved_file_loads_without_per_instance_calls(self, tmp_path,
                                                          per_instance_calls):
@@ -783,8 +792,7 @@ class TestSidecar:
     @staticmethod
     def check_against_json(path, instances):
         sidecar = sidecar_of(path)
-        widths = {inst.dim for inst in instances.values()}
-        assert sidecar.exists() == (len(widths) == 1)
+        assert sidecar.exists() == bool(instances)
         text = path.read_text(encoding="utf-8")
         with mock.patch.object(json, "loads", wraps=json.loads) as loads:
             with_sidecar = load_result(path)
@@ -959,6 +967,16 @@ class TestSidecar:
         {"a": make_instance("a", [[1.0]]), "b": make_instance("a", [[2.0]])},
     ], ids=["empty", "mixed-widths", "duplicate-ids"])
     def test_no_sidecar_and_no_stale_one(self, saved, instances):
+        if len({inst.dim for inst in instances.values()}) > 1:
+            # Refused before anything is written: the old file and its copy
+            # stay as they were, and a new path gets neither.
+            before = {p.name: p.read_bytes() for p in saved.parent.iterdir()}
+            for path in (saved, saved.parent / "new.json"):
+                with pytest.raises(ValueError, match=r"mixed dimensions \[1, 2\]"):
+                    mio.save_instances(instances, path)
+            assert {p.name: p.read_bytes() for p in saved.parent.iterdir()} == before
+            assert [entry[0] for entry in self.assert_json_result(saved)] == ["a", "b"]
+            return
         mio.save_instances(instances, saved)
         assert not sidecar_of(saved).exists()
         assert sorted(p.name for p in saved.parent.iterdir()) == ["instances.json"]
