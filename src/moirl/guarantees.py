@@ -25,7 +25,7 @@ from .domain import (
 )
 from .learner import RunLog
 from .solvers import check_tie_tol, solve_packed
-from .wasserstein import _net_mass
+from .wasserstein import net_mass
 
 __all__ = [
     "GuaranteeViolation",
@@ -155,7 +155,7 @@ def _equivalence(learner: np.ndarray, expert: np.ndarray) -> EquivalenceReport:
     return EquivalenceReport(
         subgrad_zero=bool(np.all((learner - expert).sum(axis=0) == 0.0)),
         actions_equal=bool(np.all(learner == expert)),
-        w1_zero=not _net_mass(learner, expert)[1].any(),
+        w1_zero=not net_mass(learner, expert)[1].any(),
     )
 
 

@@ -6,6 +6,7 @@ is bit-identical and repeated saves of the same data are byte-identical.
 All actions in an instance or trajectory file have one width.
 ``instances.json`` may have a binary copy next to it, ``instances.npz``,
 which ``load_instances`` reads instead while it matches the file.
+``problem_instances`` parses ``problem.json``, whose entries ``_walk`` checks.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ from .domain import (
     Instance,
     Simplex,
     TrajectorySet,
+    make_instance,
     make_instances,
 )
 from .learner import RunConfig, RunLog, StepSchedule
+from .solvers import KnapsackSpec, knapsack_instance, polytope_vertex_instance
 
 __all__ = [
     "SchemaError",
+    "problem_instances",
     "load_instances",
     "save_instances",
     "load_trajectories",
@@ -122,9 +126,13 @@ def _number(x, ptr: str) -> float:
     return v
 
 
-def _integer(x, ptr: str) -> int:
+def _integer(x, ptr: str, low: float = -math.inf, high: float = math.inf) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise SchemaError(ptr, "expected an integer")
+    if x < low:
+        raise SchemaError(ptr, f"expected an integer >= {low}")
+    if x > high:
+        raise SchemaError(ptr, f"expected an integer <= {high}")
     return x
 
 
@@ -199,28 +207,92 @@ def _entries(data, key: str, value: str):
     return (keys, values) if set(map(type, keys)) == {str} else None
 
 
-def _walk(data: list, key: str, field: str, instances: bool) -> None:
-    """Raise the first fault, with its JSON pointer, of ``data``: a nonempty
-    list of entries that the whole-file pass rejected.  Builds nothing."""
+def _walk(data: list, key: str, field, instances: bool, prefix: str = ""):
+    """Yield each entry of the list ``data``, its JSON pointer, its ``key``
+    string and its ``field``: a matrix if ``instances``, else a vector, of
+    one width.  ``field`` is a name, or maps an entry's ``type`` to one.
+    Raises the first fault, with its pointer.  Builds no instance."""
     seen, width = set(), None
     for i, entry in enumerate(data):
-        ptr = f"/{i}"
+        ptr = f"{prefix}/{i}"
+        name = field
+        if not isinstance(field, str):
+            kind = _field(entry, "type", ptr)
+            if not isinstance(kind, str) or kind not in field:
+                raise SchemaError(f"{ptr}/type", f"unknown instance type {kind!r}")
+            name = field[kind]
         iid = _field(entry, key, ptr)
         if not isinstance(iid, str):
             raise SchemaError(f"{ptr}/{key}", "expected a string")
         if instances and iid in seen:
             raise SchemaError(f"{ptr}/{key}", f"duplicate instance id {iid!r}")
         seen.add(iid)
-        value = _field(entry, field, ptr)
-        ptr += f"/{field}"
+        value = _field(entry, name, ptr)
         if instances:
-            d = _matrix(value, ptr).shape[1]
-            ptr += "/0"
+            value = _matrix(value, f"{ptr}/{name}")
+            width = _width(value.shape[1], width, f"{ptr}/{name}/0")
         else:
-            d = len(_vector(value, ptr))
-        width = width or d
-        if d != width:
-            raise SchemaError(ptr, f"length {d}, expected {width}")
+            value = _vector(value, f"{ptr}/{name}")
+            width = _width(len(value), width, f"{ptr}/{name}")
+        yield entry, ptr, iid, value
+
+
+def _width(d: int, width: int | None, ptr: str) -> int:
+    """``d``, the width at ``ptr``, checked against ``width`` unless None."""
+    if width is not None and d != width:
+        raise SchemaError(ptr, f"length {d}, expected {width}")
+    return d
+
+
+# The matrix field of each type of ``problem.json`` entry.
+_MATRICES = {"explicit": "actions", "polytope": "vertices", "knapsack": "item_features"}
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+def problem_instances(obj, random) -> dict[str, Instance]:
+    """The instances of ``problem.json``, decoded as ``obj``, in file order:
+    one per entry of the ``instances`` array, which ``_walk`` checks as it
+    does an instance file's, then ``random(count, dim, n_actions, low,
+    high)``'s for a ``random`` block.  Every action, vertex and item, and
+    the block's ``dim``, have one width.  SchemaError names the first fault.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("", "expected an object")
+    entries = obj.get("instances", [])
+    if not isinstance(entries, list):
+        raise SchemaError("/instances", "expected an array")
+    out: dict[str, Instance] = {}
+    for entry, ptr, iid, value in _walk(entries, "id", _MATRICES, True, "/instances"):
+        if entry["type"] == "explicit":
+            out[iid] = make_instance(iid, value, entry.get("state"))
+        elif entry["type"] == "polytope":
+            out[iid] = polytope_vertex_instance(value, iid)
+        else:
+            spec = (_vector(_field(entry, "weights", ptr), f"{ptr}/weights"),
+                    _number(_field(entry, "capacity", ptr), f"{ptr}/capacity"), value)
+            try:  # not around the parse: a SchemaError is a ValueError too
+                out[iid] = knapsack_instance(KnapsackSpec(*spec), iid)
+            except ValueError as exc:
+                raise SchemaError(ptr, str(exc)) from None
+    if "random" in obj:
+        rnd, ptr = obj["random"], "/random"
+        count = _integer(_field(rnd, "count", ptr), f"{ptr}/count", 0)
+        dim = _integer(_field(rnd, "dim", ptr), f"{ptr}/dim", 1)
+        n_actions = _integer(_field(rnd, "n_actions", ptr), f"{ptr}/n_actions", 1)
+        low = _integer(rnd.get("low", -10), f"{ptr}/low", *_INT64)
+        high = _integer(rnd.get("high", 10), f"{ptr}/high", low, _INT64[1])
+        _width(dim, next((inst.dim for inst in out.values()), None), f"{ptr}/dim")
+        try:
+            generated = random(count, dim, n_actions, low, high)
+        except ValueError as exc:  # numpy's, for a draw too large to shape
+            raise SchemaError(ptr, str(exc)) from None
+        for iid, inst in generated.items():
+            if iid in out:
+                raise SchemaError(ptr, f"generated id {iid!r} collides")
+            out[iid] = inst
+    if not out:
+        raise SchemaError("", "problem spec produced no instances")
+    return out
 
 
 _HASH_CHUNK = 1 << 20  # bytes read into the hash at a time
@@ -311,7 +383,8 @@ def load_instances(path) -> dict[str, Instance]:
     entries = _entries(data, "id", "actions")
     actions = None if entries is None else _rows(entries[1])
     if actions is None or len(set(entries[0])) < len(data):
-        _walk(data, "id", "actions", instances=True)
+        for _ in _walk(data, "id", "actions", instances=True):
+            pass
     ids, sizes = entries[0], list(map(len, entries[1]))
     states = [entry.get("state") for entry in data]
     # Free the parsed file before the instances are built: objects that
@@ -454,7 +527,8 @@ def load_trajectories(path) -> TrajectorySet:
     entries = _entries(data, "instance_id", "action")
     actions = None if entries is None else _rows([entries[1]])
     if actions is None:
-        _walk(data, "instance_id", "action", instances=False)
+        for _ in _walk(data, "instance_id", "action", instances=False):
+            pass
     ids = entries[0]
     del data, entries  # as in load_instances
     return TrajectorySet(ids, actions)

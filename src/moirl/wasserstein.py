@@ -40,7 +40,7 @@ def _measures(mu, nu) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _net_mass(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def net_mass(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct points of two (N, d) arrays, in lexicographic order, and
     each one's count in ``a`` minus its count in ``b``.  The measures are
     equal (``-0.0`` equals ``0.0``) exactly when every count is 0."""
@@ -85,7 +85,7 @@ def w1_exact(mu, nu) -> float:
     up sit beside unshared ones less than about 1e-168 apart (``_shrink``).
     """
     a, b = _measures(mu, nu)
-    pts, net = _net_mass(a, b)
+    pts, net = net_mass(a, b)
     if not net.any():
         return 0.0
     from scipy.optimize import linear_sum_assignment

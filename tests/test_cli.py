@@ -63,6 +63,10 @@ def swap_first_decision(data_dir):
     write_json(data_dir / "expert_trajectories.json", trajs)
 
 
+KNAPSACK = {"type": "knapsack", "id": "k", "weights": [1.0, 1.0], "capacity": 2.0,
+            "item_features": [[1, 0], [0, 1]]}
+
+
 class TestGenerate:
     def test_explicit_instance(self, tmp_path):
         spec = tmp_path / "problem.json"
@@ -122,20 +126,67 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
         assert "/phi0" in err[0]
 
-    @pytest.mark.parametrize("problem, pointer", [
-        ([], "expected an object"),
-        ({"random": {"count": "3", "dim": 2, "n_actions": 4}}, "/random/count"),
+    @pytest.mark.parametrize("problem, message", [
+        ([], ": expected an object"),
+        ({"random": {"count": "3", "dim": 2, "n_actions": 4}},
+         "/random/count: expected an integer"),
         ({"random": {"count": 3, "dim": 2, "n_actions": 4, "low": None}},
-         "/random/low"),
-    ], ids=["array", "string-count", "null-low"])
-    def test_bad_problem_spec_exits_2(self, fixture_files, capsys, problem, pointer):
+         "/random/low: expected an integer"),
+        ({"random": {"count": 3, "dim": 0, "n_actions": 4}},
+         "/random/dim: expected an integer >= 1"),
+        ({"random": {"count": 3, "dim": 2, "n_actions": 0}},
+         "/random/n_actions: expected an integer >= 1"),
+        ({"random": {"count": -1, "dim": 2, "n_actions": 4}},
+         "/random/count: expected an integer >= 0"),
+        ({"random": {"count": 3, "dim": 2, "n_actions": 4, "low": 5, "high": 1}},
+         "/random/high: expected an integer >= 5"),
+        ({"random": {"count": 3, "dim": 2, "n_actions": 4, "low": -(2**63) - 1}},
+         "/random/low: expected an integer >= -9223372036854775808"),
+        ({"random": {"count": 3, "dim": 2, "n_actions": 4, "high": 2**63}},
+         "/random/high: expected an integer <= 9223372036854775807"),
+        ({"random": {"count": 2**70, "dim": 2, "n_actions": 4}},
+         "/random: Maximum allowed dimension exceeded"),
+        ({"instances": [KNAPSACK, {**KNAPSACK, "id": "k2",
+                                   "item_features": [[1, 0]]}]},
+         "/instances/1: item_features must be an (m, d) matrix"),
+        ({"instances": [{**KNAPSACK, "weights": [1.0] * 21,
+                         "item_features": [[1, 0]] * 21}]},
+         "/instances/0: enumeration bound exceeded"),
+        ({"instances": [{**KNAPSACK, "weights": [1.0, -1.0]}]},
+         "/instances/0: knapsack weights and capacity must be nonnegative"),
+        ({"instances": [{**KNAPSACK, "capacity": -0.5}]},
+         "/instances/0: knapsack weights and capacity must be nonnegative"),
+        ({"instances": [{**KNAPSACK, "item_features": [[1e308, 0], [1e308, 0]]}]},
+         "/instances/0: action vectors must be finite"),
+        ({"instances": [{"type": "explicit", "id": "a", "actions": [[0, 1]]},
+                        {"type": "explicit", "id": "b", "actions": [[0, 1, 2]]}]},
+         "/instances/1/actions/0: length 3, expected 2"),
+        ({"instances": [{"type": "explicit", "id": "a", "actions": [[0, 1]]},
+                        {"type": "polytope", "id": "p", "vertices": [[0, 1, 2]]}]},
+         "/instances/1/vertices/0: length 3, expected 2"),
+        ({"instances": [{**KNAPSACK, "item_features": [[1, 0, 0], [0, 1, 0]]}],
+          "random": {"count": 3, "dim": 2, "n_actions": 4}},
+         "/random/dim: length 2, expected 3"),
+        ({"instances": [{"type": "explicit", "id": "a", "actions": [[0, 1]]},
+                        {"type": "explicit", "id": "a", "actions": [[1, 0]]}]},
+         "/instances/1/id: duplicate instance id 'a'"),
+        ({"instances": [{"type": [], "id": "a", "actions": [[0, 1]]}]},
+         "/instances/0/type: unknown instance type []"),
+    ], ids=["array", "string-count", "null-low", "zero-dim", "zero-n-actions",
+            "negative-count", "low-above-high", "low-below-int64",
+            "high-above-int64", "count-beyond-any-shape", "knapsack-rows",
+            "knapsack-items-beyond-bound", "knapsack-negative-weight",
+            "knapsack-negative-capacity", "knapsack-sums-beyond-floats",
+            "explicit-widths", "explicit-polytope-widths", "knapsack-random-widths",
+            "duplicate-id", "unhashable-type"])
+    def test_bad_problem_spec_exits_2(self, fixture_files, capsys, problem, message):
         tmp_path, spec, phi0, *_ = fixture_files
         write_json(spec, problem)
         code = main(["generate", str(spec), str(phi0), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert len(err) == 1 and err[0].startswith("error:VALIDATION:")
-        assert pointer in err[0]
+        assert err == [f"error:VALIDATION: {message}"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -796,5 +847,35 @@ class TestFuzz:
         assert code in (0, 2, 3, 4)
         if code:
             assert len(lines) == 1 and lines[0].startswith("error:")
+        else:
+            assert lines == []
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_mutated_problem_exits_cleanly(self, fuzz_base, data):
+        """``generate`` on a ``problem.json`` whose entries of all three
+        kinds were mutated: at most 4 + 3 knapsack items, so each example
+        enumerates at most 128 packings."""
+        base, *_ = fuzz_base
+        entries = [
+            {"type": "explicit", "id": "e", "state": {"s": [1, 2]},
+             "actions": [[0, 1], [1, 0], [-1, 2]]},
+            {"type": "polytope", "id": "p", "vertices": [[0, 0], [0, 1], [1, 0]]},
+            {"type": "knapsack", "id": "k", "weights": [1, 2, 0.5, 0],
+             "capacity": 2, "item_features": [[1, 0], [0, 1], [0.25, 0.5], [-1, 1]]},
+        ]
+        work = Path(tempfile.mkdtemp(dir=base))
+        problem = {"instances": data.draw(mutated_entries(entries, "id"))}
+        if data.draw(st.booleans()):
+            problem["random"] = {"count": 2, "dim": 2, "n_actions": 3}
+        write_json(work / "problem.json", problem)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["generate", str(work / "problem.json"),
+                         str(base / "phi0.json"), "--out", str(work / "data")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2)
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error:VALIDATION: ")
         else:
             assert lines == []
