@@ -50,7 +50,6 @@ cfg = RunConfig(
     schedule=StepSchedule("inverse_sqrt", 0.5),
     max_iters=5000,
     target_eps=1e-6,
-    tie_tol=0.0,
 )
 log = train(data, instances, feasible, phi1=np.array([-1.0, 0.0, 0.0]), cfg=cfg)
 print(f"stopped after {log.iters_run} iterations")
@@ -74,6 +73,6 @@ print(
 
 # %% Spot check: both weight vectors pick the same packing everywhere.
 for iid, inst in instances.items():
-    ours = solve(log.best_weights, inst, tie_tol=0.0).chosen
-    theirs = solve(true_weights, inst, tie_tol=0.0).chosen
+    ours = solve(log.best_weights, inst).chosen
+    theirs = solve(true_weights, inst).chosen
     print(f"{iid}: recovered -> {ours.tolist()}, true -> {theirs.tolist()}")

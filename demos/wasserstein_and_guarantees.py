@@ -34,8 +34,7 @@ expert_actions = np.stack([t.action for t in data])
 
 # %% Train, logging every iterate.
 feasible = Ball(center=np.zeros(dim), radius=1.0)
-cfg = RunConfig(schedule=StepSchedule("inverse_sqrt", 0.5), max_iters=200,
-                tie_tol=0.0)
+cfg = RunConfig(schedule=StepSchedule("inverse_sqrt", 0.5), max_iters=200)
 log = train(data, instances, feasible, phi1=np.array([0.0, 1.0]), cfg=cfg)
 
 # %% W1 between learner and expert action distributions along the run.
@@ -43,9 +42,7 @@ insts = [instances[t.instance_id] for t in data]
 print(f"{'iter':>5} {'F':>12} {'W1':>12} {'dual bound':>12}")
 for i in range(0, log.iters_run, 20):
     phi = log.weights[i]
-    learner_actions = np.stack(
-        [solve(phi, inst, tie_tol=0.0).chosen for inst in insts]
-    )
+    learner_actions = np.stack([solve(phi, inst).chosen for inst in insts])
     dist = w1_exact(learner_actions, expert_actions)
     bound = linear_dual_lower_bound(learner_actions, expert_actions)
     print(f"{log.iterations[i]:>5} {log.objectives[i]:>12.6f} "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -98,48 +99,37 @@ def cmd_verify(args) -> int:
     phi0 = (mio.load_ground_truth(manifest)[0]
             if args.manifest or manifest.exists() else None)
     log = mio.read_runlog_csv(run_dir / "run.csv")
-    eps = args.eps
-    n = len(data)
+    eps, n = args.eps, len(data)
     if not np.isfinite(eps * n):
         raise ValueError(f"--eps {eps!r} times {n} decisions is not finite")
 
     report, k_eps, equiv = verify_run(log, log.best_weights, phi0, data, instances, eps)
 
+    # (check, passed, detail, error): the zero-weights check, not printed (at
+    # phi = 0, F = 0 and every gap is 0 whatever the expert did), then the rows.
+    table = [
+        (None, np.any(log.best_weights), None,
+         "best weights are zero, which imitate nothing"),
+        ("reward gaps >= 0", True, f"min gap {float(report.gaps.min())!r}", None),
+        ("gaps < eps*N", report.within_budget(eps),
+         f"max gap {float(report.gaps.max())!r}, budget {eps * n!r}",
+         "reward gap exceeds eps*N at best iterate"),
+        ("best F < eps reached", k_eps is not None,
+         f"iteration {'absent' if k_eps is None else k_eps}", "eps not reached"),
+        ("equivalence unanimous", equiv.unanimous,
+         " ".join(f"{key}={value}" for key, value in asdict(equiv).items()),
+         "equivalence criteria disagree"),
+    ]
     print(f"{'check':<28}{'result':<14}detail")
-    print(f"{'reward gaps >= 0':<28}{'pass':<14}min gap {float(report.gaps.min())!r}")
-    budget = "pass" if report.within_budget(eps) else "FAIL"
-    print(f"{'gaps < eps*N':<28}{budget:<14}max gap {float(report.gaps.max())!r}, "
-          f"budget {eps * n!r}")
-    k_str = "absent" if k_eps is None else str(k_eps)
-    print(f"{'best F < eps reached':<28}"
-          f"{('pass' if k_eps is not None else 'FAIL'):<14}iteration {k_str}")
-    unanim = "pass" if equiv.unanimous else "FAIL"
-    print(f"{'equivalence unanimous':<28}{unanim:<14}"
-          f"subgrad_zero={equiv.subgrad_zero} actions_equal={equiv.actions_equal} "
-          f"w1_zero={equiv.w1_zero}")
-
-    out_obj = {
-        "gaps": report.gaps.tolist(),
-        "F": report.objective,
-        "eps": eps,
-        "bound_eN": eps * n,
-        "equivalence": {
-            "subgrad_zero": equiv.subgrad_zero,
-            "actions_equal": equiv.actions_equal,
-            "w1_zero": equiv.w1_zero,
-        },
-    }
-    mio.save_json(out_obj, run_dir / "verify_report.json")
-
-    # F(0) = 0 and every gap is 0 at phi = 0, whatever the expert did.
-    if not np.any(log.best_weights):
-        raise GuaranteeViolation("best weights are zero, which imitate nothing")
-    if k_eps is None:
-        raise GuaranteeViolation("eps not reached")
-    if not report.within_budget(eps):
-        raise GuaranteeViolation("reward gap exceeds eps*N at best iterate")
-    if not equiv.unanimous:
-        raise GuaranteeViolation("equivalence criteria disagree")
+    for check, passed, detail, _ in table[1:]:
+        print(f"{check:<28}{'pass' if passed else 'FAIL':<14}{detail}")
+    mio.save_json({"gaps": report.gaps.tolist(), "F": report.objective, "eps": eps,
+                   "bound_eN": eps * n, "equivalence": asdict(equiv)},
+                  run_dir / "verify_report.json")
+    # Exit 3 names the first failure in this order: eps before the budget.
+    for _, passed, _, error in (table[0], table[3], table[2], table[4]):
+        if not passed:
+            raise GuaranteeViolation(error)
     return EXIT_OK
 
 

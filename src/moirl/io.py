@@ -33,6 +33,7 @@ from .domain import (
     TrajectorySet,
     make_instance,
     make_instances,
+    pack,
 )
 from .learner import RunConfig, RunLog, StepSchedule
 from .solvers import KnapsackSpec, knapsack_instance, polytope_vertex_instance
@@ -272,8 +273,8 @@ def problem_instances(obj, random) -> dict[str, Instance]:
                     _number(_field(entry, "capacity", ptr), f"{ptr}/capacity"), value)
             try:  # not around the parse: a SchemaError is a ValueError too
                 out[iid] = knapsack_instance(KnapsackSpec(*spec), iid)
-            except ValueError as exc:
-                raise SchemaError(ptr, str(exc)) from None
+            except (ValueError, MemoryError) as exc:
+                raise SchemaError(ptr, str(exc) or "out of memory") from None
     if "random" in obj:
         rnd, ptr = obj["random"], "/random"
         count = _integer(_field(rnd, "count", ptr), f"{ptr}/count", 0)
@@ -284,8 +285,8 @@ def problem_instances(obj, random) -> dict[str, Instance]:
         _width(dim, next((inst.dim for inst in out.values()), None), f"{ptr}/dim")
         try:
             generated = random(count, dim, n_actions, low, high)
-        except ValueError as exc:  # numpy's, for a draw too large to shape
-            raise SchemaError(ptr, str(exc)) from None
+        except (ValueError, MemoryError) as exc:  # too large to shape or to hold
+            raise SchemaError(ptr, str(exc) or "out of memory") from None
         for iid, inst in generated.items():
             if iid in out:
                 raise SchemaError(ptr, f"generated id {iid!r} collides")
@@ -325,6 +326,11 @@ _UNREADABLE = (OSError, EOFError, KeyError, TypeError, ValueError,
                RecursionError, zipfile.BadZipFile)
 
 
+def _distinct_strings(ids: list) -> bool:
+    """Whether ``ids`` are distinct strings, as instance ids must be."""
+    return set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
+
+
 def _load_sidecar(path) -> dict[str, Instance] | None:
     """The instances in ``path``'s binary copy, or None unless that copy
     exists, reads without pickles and holds the SHA-256 of ``path``'s
@@ -348,8 +354,7 @@ def _load_sidecar(path) -> dict[str, Instance] | None:
                 ids, states = json.loads(npz["header"].tobytes().decode("utf-8"),
                                          parse_constant=_reject_constant)
                 if not (type(ids) is list and type(states) is list
-                        and set(map(type, ids)) <= {str}
-                        and len(set(ids)) == len(ids)):
+                        and _distinct_strings(ids)):
                     return None
                 insts = make_instances(ids, npz["actions"], npz["sizes"], states)
             finally:
@@ -399,28 +404,29 @@ def save_instances(instances: Mapping[str, Instance], path) -> None:
 
     Only each instance's ``id`` and ``state`` go through ``json``: all ids
     in one call, and all states in one more but for containers.  The
-    text is built in whole-store array passes: one cell per number, its
-    ``repr`` (as ``json`` writes a float, once per distinct bit pattern
-    from one ``np.unique``) and the separator after it, with each
-    instance's head put before its first cell.  The cells are joined,
-    encoded, hashed and written ``_SLICE`` at a time, never as one string
-    of the whole file, which would raise the peak memory.  Then
-    ``_save_sidecar`` puts a binary copy of the instances, with that
-    SHA-256, next to the file for ``load_instances``, or removes an old one.
-    Instances of mixed action widths raise ValueError before any write.
+    text is built in array passes over ``domain.pack``'s store: one cell
+    per number, its ``repr`` (as ``json`` writes a float, once per
+    distinct bit pattern from one ``np.unique``) and the separator after
+    it, with each instance's head put before its first cell.  The cells
+    are joined, encoded, hashed and written ``_SLICE`` at a time, never as
+    one string of the whole file, which would raise the peak memory.
+    Then ``_save_sidecar`` puts that store, with the SHA-256, next to the
+    file for ``load_instances``, or removes an old copy.  Mixed action
+    widths, and ids that are not distinct strings, raise ValueError first.
     """
     insts, sha = list(instances.values()), hashlib.sha256()
-    dims = sorted({inst.dim for inst in insts})
-    if len(dims) > 1:
-        raise ValueError(f"instances have mixed dimensions {dims}")
+    ids, states = [inst.id for inst in insts], [inst.state for inst in insts]
+    if not _distinct_strings(ids):
+        raise ValueError("instance ids must be distinct strings")
+    store = pack(insts) if insts else None
     with open(path, "wb") as fh:
         def write(text: str) -> None:
             data = text.encode("utf-8")
             sha.update(data)
             fh.write(data)
 
-        _write_instances(insts, write)
-    _save_sidecar(insts, path, sha.digest())
+        _write_instances(ids, states, store, write)
+    _save_sidecar(ids, states, store, path, sha.digest())
 
 
 _SLICE = 1 << 13  # numbers joined, encoded, hashed and written at a time
@@ -455,40 +461,38 @@ def _texts(values, text=json.dumps) -> list[str]:
     return out
 
 
-def _write_instances(insts: list[Instance], write) -> None:
-    """``save_instances``' text of ``insts``, passed slice by slice to ``write``."""
-    if not insts:
+def _write_instances(ids: list[str], states: list, store, write) -> None:
+    """The text of ``save_instances``, passed slice by slice to ``write``."""
+    if store is None:
         write("[]\n")
         return
-    bits = np.concatenate([inst.actions.ravel() for inst in insts]).view(np.uint64)
+    bits = store.actions.ravel().view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
     del bits, distinct
     # One cell per number: its text followed by what comes next, within a
     # row, after a row's last number, or after an instance's last number.
     cells = (texts + ",\n        ")[index]
-    d = insts[0].dim
+    d = store.dim
     cells[d - 1 :: d] = (texts + "\n      ],\n      [\n        ")[index[d - 1 :: d]]
-    counts = np.array([len(inst.actions) for inst in insts]) * d
+    counts = store.sizes * d
     ends = np.cumsum(counts)
     cells[ends - 1] = texts[index[ends - 1]] + "\n      ]\n    ]\n  }"
     del index
     head = (',\n  {\n    "id": %s,\n    "state": %s,\n'
             '    "actions": [\n      [\n        %s')
     firsts = ends - counts
-    ids = _texts([inst.id for inst in insts])
-    states = _texts([inst.state for inst in insts], _state_text)
-    cells[firsts] = [head % parts
-                     for parts in zip(ids, states, cells[firsts].tolist())]
+    cells[firsts] = [head % parts for parts in zip(
+        _texts(ids), _texts(states, _state_text), cells[firsts].tolist())]
     cells[0] = "[" + cells[0][1:]
     cells[-1] += "\n]\n"
     for lo in range(0, cells.size, _SLICE):
         write("".join(cells[lo : lo + _SLICE].tolist()))
 
 
-def _save_sidecar(insts: list[Instance], path, sha256: bytes) -> None:
-    """Write ``path``'s binary copy (``instances.npz``) when ``insts`` is
-    nonempty and has unique string ids, or else remove any old copy.
+def _save_sidecar(ids: list[str], states: list, store, path, sha256: bytes) -> None:
+    """Write ``path``'s binary copy (``instances.npz``) of ``store``, or
+    remove any old copy if ``store`` is None (there are no instances).
 
     The copy holds ``sha256``, the SHA-256 of ``path``'s bytes, the
     packed (rows, d) actions, the rows per instance, and the ids and
@@ -498,17 +502,15 @@ def _save_sidecar(insts: list[Instance], path, sha256: bytes) -> None:
     sidecar = _sidecar_path(path)
     if sidecar == Path(path):
         return
-    ids = [inst.id for inst in insts]
-    if set(map(type, ids)) != {str} or len(set(ids)) < len(ids):
+    if store is None:
         sidecar.unlink(missing_ok=True)
         return
-    header = json.dumps([ids, [inst.state for inst in insts]]).encode("utf-8")
+    header = json.dumps([ids, states]).encode("utf-8")
     tmp = sidecar.with_suffix(f".{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             np.savez(fh, sha256=np.frombuffer(sha256, np.uint8),
-                     actions=np.concatenate([inst.actions for inst in insts]),
-                     sizes=np.array([len(inst.actions) for inst in insts]),
+                     actions=store.actions, sizes=store.sizes,
                      header=np.frombuffer(header, np.uint8))
         os.replace(tmp, sidecar)
     finally:

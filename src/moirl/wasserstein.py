@@ -52,17 +52,17 @@ def net_mass(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[starts], np.add.reduceat(np.where(order < len(a), 1, -1), starts)
 
 
-def _shrink(*arrays: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """The least k >= 0 at which the arrays' (N, d) points times 2**-k are
-    below 2**510 / sqrt(d) in magnitude, and the points so scaled.
+def _shrink(half: np.ndarray, *arrays: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """The least k >= 0 at which ``half``, half of a bound on each coordinate
+    difference to be squared, times 2**-k is below 2**510 / sqrt(d), and
+    the arrays' (N, d) points times 2**-k.
 
     Then no squared distance between two of them overflows, and scaling by a
     power of two changes no bit but the exponent, so a distance computed on
     them times 2**k is the one on the unscaled points.  k is 0, and the
-    arrays are returned as they are, unless some point reaches that bound.
+    arrays are returned as they are, unless ``half`` reaches that bound.
     """
-    top = max(float(np.abs(x).max()) for x in arrays)
-    d = arrays[0].shape[1]
+    top, d = float(half.max()), arrays[0].shape[1]
     # |x - y|^2 <= 4 d top^2, below 2^1022 when top < 2^(510 - ceil(log2(d) / 2)).
     k = max(0, math.frexp(top)[1] - 510 + ((d - 1).bit_length() + 1) // 2)
     return k, [np.ldexp(x, -k) if k else x for x in arrays]
@@ -81,8 +81,9 @@ def w1_exact(mu, nu) -> float:
 
     Returns min over permutations of (1/N) sum ||mu_i - nu_sigma(i)||_2,
     or raises ValueError if that is beyond the float range.  The value is
-    0.0 only for equal measures, save where points of magnitude 2**510 and
-    up sit beside unshared ones less than about 1e-168 apart (``_shrink``).
+    0.0 only for equal measures, save where unshared points about 2**510
+    apart in one coordinate sit beside a pairing of the others that moves
+    each less than about 1e-168 (``_shrink``).
     """
     a, b = _measures(mu, nu)
     pts, net = net_mass(a, b)
@@ -91,7 +92,10 @@ def w1_exact(mu, nu) -> float:
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    k, (sources, sinks) = _shrink(np.repeat(pts, np.maximum(net, 0), axis=0),
+    # Half a column's span over the points that move bounds half of every
+    # difference between a source and a sink.
+    k, (sources, sinks) = _shrink(np.ptp(pts[net != 0] * 0.5, axis=0),
+                                  np.repeat(pts, np.maximum(net, 0), axis=0),
                                   np.repeat(pts, np.maximum(-net, 0), axis=0))
     cost = cdist(sources, sinks)
     # Sources and sinks are distinct, but a difference below 2**-511 squares
@@ -112,9 +116,13 @@ def linear_dual_lower_bound(mu, nu) -> float:
     Pairs points by index and returns ||mean(mu_i - nu_i)||, the value
     attained by the unit-norm linear reward aligned with the mean
     displacement.  Always <= w1_exact; equals 0 iff the mean difference
-    vanishes (the multisets may still differ).
+    vanishes (the multisets may still differ), save where it is below
+    about 1e-168 and pairs about 2**510 apart in one coordinate cancel.
     """
     a, b = _measures(mu, nu)
-    k, (a, b) = _shrink(a, b)
-    norm = float(np.linalg.norm((a - b).mean(axis=0)))
+    k, (a, b) = _shrink(np.abs(a * 0.5 - b * 0.5), a, b)
+    mean = (a - b).mean(axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm < 2.0**-500:  # as in w1_exact, a square may be subnormal or 0
+        norm = float(np.hypot.reduce(mean))
     return _grow(norm, k, "the linear dual lower bound")

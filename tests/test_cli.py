@@ -15,6 +15,7 @@ from conftest import mutated_entries
 from hypothesis import given, settings, strategies as st
 
 from moirl.cli import main
+from moirl.guarantees import EquivalenceReport, GapReport
 
 
 def write_json(path, obj):
@@ -186,6 +187,23 @@ class TestGenerate:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert err == [f"error:VALIDATION: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_random_block_beyond_memory_exits_2(self, fixture_files, capsys,
+                                                monkeypatch):
+        message = ("Unable to allocate 59.6 GiB for an array with shape "
+                   "(4000000000, 2) and data type int64")
+
+        def random_instances(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("moirl.synth.random_instances", random_instances)
+        tmp_path, spec, phi0, *_ = fixture_files
+        write_json(spec, {"random": {"count": 10**9, "dim": 2, "n_actions": 4}})
+        code = main(["generate", str(spec), str(phi0), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:VALIDATION: /random: {message}"]
         assert not (tmp_path / "o").exists()
 
 
@@ -798,6 +816,63 @@ class TestVerify:
         assert code == 3
         assert err == ["error:GUARANTEE: best weights are zero, which imitate nothing"]
         assert (run_dir / "verify_report.json").exists()
+
+    def test_table_and_report_bytes(self, fixture_files, capsys):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        capsys.readouterr()
+        assert main(["verify", str(data_dir), str(run_dir), "--eps", "1e-2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "check                       result        detail",
+            "reward gaps >= 0            pass          min gap 0.0",
+            "gaps < eps*N                pass          max gap 0.0, budget 0.03",
+            "best F < eps reached        pass          iteration 2",
+            "equivalence unanimous       pass          "
+            "subgrad_zero=True actions_equal=True w1_zero=True",
+        ]
+        assert (run_dir / "verify_report.json").read_text() == (
+            '{\n  "gaps": [\n    0.0,\n    0.0,\n    0.0\n  ],\n  "F": 0.0,\n'
+            '  "eps": 0.01,\n  "bound_eN": 0.03,\n  "equivalence": {\n'
+            '    "subgrad_zero": true,\n    "actions_equal": true,\n'
+            '    "w1_zero": true\n  }\n}\n')
+
+    # Each case fails every check from its message on, so the message
+    # shows which failure is reported first: zero weights, then eps, then
+    # the budget, then equivalence.  verify_run itself raises before some
+    # of these triples could arise.
+    @pytest.mark.parametrize("zero, k, gaps, equiv, message, column", [
+        (True, None, [0.0, 0.2, 0.1], (True, False, False),
+         "best weights are zero, which imitate nothing",
+         ["pass", "FAIL", "FAIL", "FAIL"]),
+        (False, None, [0.0, 0.2, 0.1], (True, False, False),
+         "eps not reached", ["pass", "FAIL", "FAIL", "FAIL"]),
+        (False, 1, [0.0, 0.2, 0.1], (False, True, False),
+         "reward gap exceeds eps*N at best iterate", ["pass", "FAIL", "pass", "FAIL"]),
+        (False, 1, [0.0, 0.1, 0.0], (False, False, True),
+         "equivalence criteria disagree", ["pass", "pass", "pass", "FAIL"]),
+    ], ids=["zero-weights", "eps-not-reached", "budget", "equivalence"])
+    def test_exit_3_precedence(self, fixture_files, capsys, monkeypatch,
+                               zero, k, gaps, equiv, message, column):
+        tmp_path, spec, phi0, feasible, config = fixture_files
+        data_dir, run_dir = run_pipeline(tmp_path, spec, phi0, feasible, config)
+        if zero:
+            (run_dir / "run.csv").write_text("k,F,grad_norm,phi_0,phi_1\n"
+                                             "1,0.0,0.0,0.0,0.0\n")
+        triple = (GapReport(np.array(gaps)), k, EquivalenceReport(*equiv))
+        monkeypatch.setattr("moirl.cli.verify_run", lambda *args: triple)
+        capsys.readouterr()
+        code = main(["verify", str(data_dir), str(run_dir), "--eps", "0.05"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert err.splitlines() == [f"error:GUARANTEE: {message}"]
+        assert [line[28:42].rstrip() for line in out.splitlines()] == [
+            "result", *column]
+        report = json.loads((run_dir / "verify_report.json").read_text())
+        assert report["gaps"] == gaps
+        assert report["equivalence"] == dict(zip(
+            ["subgrad_zero", "actions_equal", "w1_zero"], equiv))
 
 
 @pytest.fixture(scope="module")

@@ -373,6 +373,40 @@ def json_dump_text(obj):
     return fh.getvalue() + "\n"
 
 
+class TestProblemOutOfMemory:
+    """A ``problem.json`` block too large for memory is a SchemaError that
+    names it, with numpy's message if it gave one."""
+
+    KNAPSACK = {"type": "knapsack", "id": "k", "weights": [1.0, 1.0],
+                "capacity": 2.0, "item_features": [[1, 0], [0, 1]]}
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "/random: out of memory"),
+        (MemoryError("Unable to allocate 59.6 GiB"),
+         "/random: Unable to allocate 59.6 GiB"),
+    ], ids=["bare", "numpy-message"])
+    def test_random_draw(self, error, message):
+        def random(*block):
+            raise error
+
+        spec = {"random": {"count": 3, "dim": 2, "n_actions": 4}}
+        with pytest.raises(mio.SchemaError) as exc:
+            mio.problem_instances(spec, random)
+        assert str(exc.value) == message
+        assert exc.value.pointer == "/random"
+
+    def test_knapsack_build(self, monkeypatch):
+        def knapsack_instance(spec, iid):
+            raise MemoryError
+
+        monkeypatch.setattr(mio, "knapsack_instance", knapsack_instance)
+        spec = {"instances": [
+            {"type": "explicit", "id": "a", "actions": [[0, 1]]}, self.KNAPSACK]}
+        with pytest.raises(mio.SchemaError) as exc:
+            mio.problem_instances(spec, None)
+        assert str(exc.value) == "/instances/1: out of memory"
+
+
 class TestSaveJsonLayout:
     @given(JSON_VALUES)
     @settings(max_examples=300)
@@ -961,18 +995,22 @@ class TestSidecar:
         assert p.read_bytes() == json_dump_bytes(instances)
         assert [entry[0] for entry in load_result(p)] == ["a"]
 
-    @pytest.mark.parametrize("instances", [
-        {},
-        {"a": make_instance("a", [[1.0]]), "b": make_instance("b", [[1.0, 2.0]])},
-        {"a": make_instance("a", [[1.0]]), "b": make_instance("a", [[2.0]])},
-    ], ids=["empty", "mixed-widths", "duplicate-ids"])
-    def test_no_sidecar_and_no_stale_one(self, saved, instances):
-        if len({inst.dim for inst in instances.values()}) > 1:
+    @pytest.mark.parametrize("instances, message", [
+        ({}, None),
+        ({"a": make_instance("a", [[1.0]]), "b": make_instance("b", [[1.0, 2.0]])},
+         r"mixed dimensions \[1, 2\]"),
+        ({"a": make_instance("a", [[1.0]]), "b": make_instance("a", [[2.0]])},
+         "ids must be distinct strings"),
+        ({"a": make_instance("a", [[1.0]]), "b": make_instance(5, [[2.0]])},
+         "ids must be distinct strings"),
+    ], ids=["empty", "mixed-widths", "duplicate-ids", "non-string-id"])
+    def test_no_sidecar_and_no_stale_one(self, saved, instances, message):
+        if message is not None:
             # Refused before anything is written: the old file and its copy
             # stay as they were, and a new path gets neither.
             before = {p.name: p.read_bytes() for p in saved.parent.iterdir()}
             for path in (saved, saved.parent / "new.json"):
-                with pytest.raises(ValueError, match=r"mixed dimensions \[1, 2\]"):
+                with pytest.raises(ValueError, match=message):
                     mio.save_instances(instances, path)
             assert {p.name: p.read_bytes() for p in saved.parent.iterdir()} == before
             assert [entry[0] for entry in self.assert_json_result(saved)] == ["a", "b"]

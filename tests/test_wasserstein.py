@@ -154,6 +154,28 @@ class TestTinyDistances:
         assert want > 0.0
         assert w1_exact([a], [b]) == pytest.approx(want, rel=1e-15, abs=0)
 
+    # A huge coordinate, shared or not, beside a tiny one: the scale
+    # comes from the coordinate differences, not from the points.
+    @pytest.mark.parametrize("mu, nu", [
+        ([[1e300, 0.0]], [[1e300, 1e-300]]),
+        ([[1e300, 1e-300]], [[1e300, -1e-300]]),
+        ([[-1e308, 5e-324, 3.0]], [[-1e308, 0.0, 3.0]]),
+        ([[1e300, 1e-300]], [[-1e300, 0.0]]),
+        ([[1e300, 0.0], [0.0, 0.0]], [[-1e300, 0.0], [0.0, 1e-300]]),
+        ([[1e300, 1e-300], [0.0, 0.0]], [[1e300, 0.0], [0.0, 0.0]]),
+        ([[1e300, 0.0], [-1e300, 5.0]], [[1e300, 1e-300], [-1e300, 5.0]]),
+    ])
+    def test_huge_beside_tiny_matches_hypot(self, mu, nu):
+        want = min(sum(math.hypot(*(x - y for x, y in zip(a, nu[j])))
+                       for a, j in zip(mu, perm)) / len(mu)
+                   for perm in itertools.permutations(range(len(mu))))
+        assert want > 0.0
+        assert w1_exact(mu, nu) == pytest.approx(want, rel=1e-15, abs=0)
+        mean = [math.fsum(x - y for x, y in zip(col_a, col_b)) / len(mu)
+                for col_a, col_b in zip(zip(*mu), zip(*nu))]
+        assert linear_dual_lower_bound(mu, nu) == pytest.approx(
+            math.hypot(*mean), rel=1e-15, abs=0)
+
     def test_tiny_distances_decide_the_assignment(self):
         # Every squared distance underflows to 0; the optimal pairing
         # costs 1e-170 a pair, the other 4e-170 and 2e-170.
